@@ -2,8 +2,9 @@
 
 Subcommands: cost, trajectory, matrices, transport, selftest.
 Exit codes: 0 success, 1 selftest failure, 2 parse/schema error,
-3 domain error.  Diagnostics go to stderr; stdout carries only complete
-JSON documents (or the selftest report).
+3 domain error (including a result that overflows double precision, which
+strict JSON cannot carry).  Diagnostics go to stderr; stdout carries only
+complete JSON documents (or the selftest report).
 
 Problem schema: {"n": int, "h": number, "d": int,
                  "x": [[number x d] x n], "y": [[number x d] x n]}
@@ -240,6 +241,14 @@ def _cmd_selftest(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+def _render(payload: dict) -> str:
+    """Strict JSON (RFC 8259): a NaN or infinity is a domain error, not output."""
+    try:
+        return json.dumps(payload, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"result is not representable as JSON: {exc}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="msdcost",
@@ -290,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "selftest":
             return _cmd_selftest(args)
         # serialize before touching stdout so failures never emit partial output
-        rendered = json.dumps(handlers[args.command](args))
+        rendered = _render(handlers[args.command](args))
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -55,13 +55,39 @@ NEGATIVE_CLAMP = 1e-9
 FREE_FLIGHT_TOL = 1e-10
 
 
-def _bilinear_total(M: np.ndarray, b: np.ndarray) -> float:
-    # quadratic form summed over spatial dimensions, fixed evaluation order
-    total = 0.0
-    for k in range(b.shape[1]):
-        col = b[:, k]
-        total += float(col @ (M @ col))
+def form_totals(M: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Quadratic form g^T M g summed over spatial dimensions, per gap.
+
+    ``G`` stacks gaps of shape (n, d) along any leading axes; the result
+    has the leading shape.  Each gap goes through the same per-slice
+    matmul and the same accumulation order (rows, then the d columns left
+    to right) whatever the stack, so a batched total is bit-identical to
+    the total of that gap alone.
+    """
+    per_column = (G * (M @ G)).sum(axis=-2)
+    total = per_column[..., 0]
+    for k in range(1, G.shape[-1]):
+        total = total + per_column[..., k]
     return total
+
+
+def finalize_totals(totals) -> np.ndarray:
+    """Costs from raw form totals, under the one sign and finiteness rule.
+
+    Totals in [-NEGATIVE_CLAMP, 0) are reported as 0.  A non-finite total
+    raises DomainError (the form overflowed double precision) and a total
+    below -NEGATIVE_CLAMP raises ConsistencyError.
+    """
+    totals = np.asarray(totals, dtype=float)
+    lo, hi = float(totals.min()), float(totals.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        bad = hi if math.isfinite(lo) else lo
+        raise DomainError(f"cost evaluated to {bad}, outside double precision")
+    if lo < -NEGATIVE_CLAMP:
+        raise ConsistencyError(
+            f"cost evaluated to {lo}, far below zero for a nonnegative form"
+        )
+    return np.maximum(totals, 0.0) if lo < 0.0 else totals
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +118,10 @@ def _kform_total(n: int, h: float, b: np.ndarray) -> float:
         for i in range(n):
             for j in range(n):
                 total += gram[i][j] * hp[i + j + 1] * a[i] * a[j]
-    return float(total)
+    try:
+        return float(total)
+    except OverflowError:
+        raise DomainError("exact cost is beyond double precision") from None
 
 
 def _scaled_total(n: int, h: float, b: np.ndarray) -> float:
@@ -100,17 +129,7 @@ def _scaled_total(n: int, h: float, b: np.ndarray) -> float:
     row_scale = np.array([p[i] for i in range(n)])[:, None]
     b_tilde = b * row_scale
     M1 = build_B(n, 1.0) @ build_A_inv(n, 1.0)
-    return p[1 - 2 * n] * _bilinear_total(M1, b_tilde)
-
-
-def _finalize_total(total: float) -> tuple[float, bool]:
-    if total < -NEGATIVE_CLAMP:
-        raise ConsistencyError(
-            f"cost evaluated to {total}, far below zero for a nonnegative form"
-        )
-    if total < 0.0:
-        return 0.0, True
-    return total, False
+    return p[1 - 2 * n] * form_totals(M1, b_tilde)
 
 
 def cost(problem: CostProblem, route: str = "algorithm51") -> CostBreakdown:
@@ -123,15 +142,16 @@ def cost(problem: CostProblem, route: str = "algorithm51") -> CostBreakdown:
     b = build_b(problem)
     if route == "algorithm51":
         M = build_B(n, h) @ build_A_inv(n, h)
-        total = _bilinear_total(M, b)
+        total = form_totals(M, b)
     elif route == "kform":
         total = _kform_total(n, h, b)
     elif route == "scaled":
         total = _scaled_total(n, h, b)
     else:
         raise DomainError(f"unknown cost route {route!r}, expected one of {ROUTES}")
-    total, clamped = _finalize_total(total)
-    return CostBreakdown(total=total, route=route, b=b, clamped=clamped)
+    return CostBreakdown(
+        total=float(finalize_totals(total)), route=route, b=b, clamped=bool(total < 0.0)
+    )
 
 
 def cost_via_K(problem: CostProblem) -> float:

@@ -123,19 +123,23 @@ def taylor_propagate(values: np.ndarray, h: float) -> np.ndarray:
     """Propagate a derivative stack forward by time h under zero n-th derivative.
 
     Row k of the result is sum_{j>=k} h**(j-k)/(j-k)! * values[j] -- the
-    free-flight end state of a start stack ``values``.
+    free-flight end state of a start stack ``values``.  Accepts an (n,)
+    or (n, d) stack, or stacks of them (..., n, d) propagated along axis
+    -2 in one pass; each stack's result is bit-identical to propagating
+    it alone.
     """
     values = np.asarray(values, dtype=float)
-    n = values.shape[0]
+    rows = (values[:, None] if values.ndim == 1 else values).swapaxes(0, -2)
+    n = rows.shape[0]
     h = _check_horizon(h)
     p = h_power_table(n, h)
-    out = np.zeros_like(values)
+    out = np.zeros_like(rows)
     for k in range(n):
-        acc = np.zeros(values.shape[1:])
+        acc = np.zeros(rows.shape[1:])
         for j in range(k, n):
-            acc = acc + (p[j - k] / math.factorial(j - k)) * values[j]
+            acc = acc + (p[j - k] / math.factorial(j - k)) * rows[j]
         out[k] = acc
-    return out
+    return out.swapaxes(0, -2).reshape(values.shape)
 
 
 def build_b(problem: CostProblem) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cost import _bilinear_total
+from .cost import finalize_totals, form_totals
 from .matrices import build_A_inv, build_B, taylor_propagate
 from .types import DiscreteMeasure, DomainError
 
@@ -37,21 +37,20 @@ def ground_cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, h: float) -> np
     """Pairwise trajectory costs: entry (i, j) moves mu point i to nu point j.
 
     Entries reproduce ``cost(make_problem(h, mu_i, nu_j)).total`` bit for
-    bit; the quadratic-form matrix and the propagated start stacks are just
-    hoisted out of the double loop.
+    bit: they go through the same form kernel and finalize rule as
+    ``cost()``.  All starts are propagated in one call, and the matrix is
+    filled one row block at a time (the gaps of one mu point to every nu
+    point), so no (m, m, n, d) temporary is built.
     """
     _check_pair(mu, nu)
     n = mu.n
     form = build_B(n, h) @ build_A_inv(n, h)
-    propagated = [taylor_propagate(p.values, h) for p in mu.points]
-    ends = [p.values for p in nu.points]
-    out = np.zeros((mu.m, nu.m))
+    propagated = taylor_propagate(np.stack([p.values for p in mu.points]), h)
+    ends = np.stack([p.values for p in nu.points])
+    out = np.empty((mu.m, nu.m))
     for i in range(mu.m):
-        for j in range(nu.m):
-            gap = ends[j] - propagated[i]
-            val = _bilinear_total(form, gap)
-            out[i, j] = 0.0 if -1e-9 <= val < 0.0 else val
-    return out
+        out[i] = form_totals(form, ends - propagated[i])
+    return finalize_totals(out)
 
 
 def solve_assignment(costs: np.ndarray) -> np.ndarray:

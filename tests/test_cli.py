@@ -89,6 +89,19 @@ def test_cost_schema_errors(monkeypatch, capsys):
     assert "'h'" in err
 
 
+@pytest.mark.parametrize("route", ["alg51", "scaled", "kform"])
+def test_cost_overflow_exits_3_without_output(route, monkeypatch, capsys):
+    # the true cost is about 1.8e327: no double holds it, and strict JSON
+    # has no NaN or Infinity to print instead
+    y = [[0.0]] * 12
+    y[0] = [1.0]
+    doc = {"n": 12, "h": 1e-13, "d": 1, "x": [[0.0]] * 12, "y": y}
+    code, out, err = run_cli(["cost", "--route", route], doc, monkeypatch, capsys)
+    assert code == 3
+    assert out == ""
+    assert "double precision" in err
+
+
 def test_malformed_json_reports_line(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": 2,\n "h": }'))
     code = main(["cost"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from msdcost import (
     BoundaryState,
+    ConsistencyError,
     DomainError,
     build_b,
     cost,
@@ -20,6 +21,7 @@ from msdcost import (
     reduce_order,
     solve_trajectory,
 )
+from msdcost.cost import NEGATIVE_CLAMP, finalize_totals
 
 REST_TO_REST = {1: 1.0, 2: 12.0, 3: 720.0, 4: 100800.0}
 
@@ -47,6 +49,16 @@ def test_cost_breakdown_fields():
     assert breakdown.route == "algorithm51"
     assert breakdown.clamped is False
     np.testing.assert_allclose(breakdown.b.ravel(), [1.0, 0.0], rtol=0)
+
+
+def test_finalize_totals_rule():
+    np.testing.assert_array_equal(finalize_totals([2.5, -1e-12, 0.0]), [2.5, 0.0, 0.0])
+    assert finalize_totals(np.float64(-NEGATIVE_CLAMP)) == 0.0
+    with pytest.raises(ConsistencyError):
+        finalize_totals([1.0, -1.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            finalize_totals([1.0, bad, -1e-12])
 
 
 def test_cost_unknown_route():

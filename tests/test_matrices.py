@@ -20,6 +20,7 @@ from msdcost import (
     build_V,
     build_b,
     det_A,
+    h_power_table,
     make_problem,
     taylor_propagate,
 )
@@ -258,6 +259,26 @@ def test_free_flight_gap_is_zero():
         y = taylor_propagate(x, 1.7)
         p = make_problem(1.7, x, y)
         assert np.abs(build_b(p)).max() <= 1e-14
+
+
+def test_taylor_propagate_stack_matches_per_point_calls():
+    rng = np.random.default_rng(43)
+    for n in (1, 3, 8, 12):
+        for h in (1e-2, 0.8, 100.0):
+            stack = rng.uniform(-3, 3, (5, n, 2))
+            got = taylor_propagate(stack, h)
+            assert got.shape == stack.shape
+            for i in range(5):
+                assert np.array_equal(got[i], taylor_propagate(stack[i], h))
+            column = stack[0, :, 0]
+            single = taylor_propagate(column, h)
+            assert single.shape == (n,)
+            p = h_power_table(n, h)
+            for k in range(n):
+                acc = 0.0
+                for j in range(k, n):
+                    acc = acc + (p[j - k] / math.factorial(j - k)) * column[j]
+                assert single[k] == acc
 
 
 # ------------------------------------------------------------- properties

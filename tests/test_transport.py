@@ -76,6 +76,20 @@ def test_ground_cost_matches_cost_bitwise():
             assert costs[i, j] == direct
 
 
+@pytest.mark.parametrize("h", [1e-2, 0.8, 100.0])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n", [1, 3, 8, 12])
+def test_ground_cost_matches_cost_bitwise_grid(n, d, h):
+    rng = np.random.default_rng(1000 * n + d)
+    mu = DiscreteMeasure.from_array(rng.uniform(-3, 3, (4, n, d)))
+    nu = DiscreteMeasure.from_array(rng.uniform(-3, 3, (4, n, d)))
+    costs = ground_cost_matrix(mu, nu, h)
+    for i in range(4):
+        for j in range(4):
+            direct = cost(make_problem(h, mu.points[i].values, nu.points[j].values)).total
+            assert costs[i, j] == direct
+
+
 def test_ground_cost_shape_errors():
     mu = rest_measure([0.0], n=2)
     nu = rest_measure([0.0, 1.0], n=2)
