@@ -2,8 +2,9 @@
 
 Both measures are uniform over equally many points, so the optimal
 coupling is a permutation (an extreme point of the coupling polytope) and
-the transport problem reduces to a linear assignment, solved here by the
-O(m^3) Hungarian method with potentials.
+the transport problem reduces to a linear assignment, solved here by
+shortest augmenting paths with a Jonker-Volgenant warm start (O(m^3) in
+the worst case).
 
 The ground cost is directed: it is not symmetric in its endpoints for
 n >= 2, so w2_uniform(mu, nu) and w2_uniform(nu, mu) generally differ and
@@ -19,7 +20,7 @@ from .matrices import build_A_inv, build_B, taylor_propagate
 from .types import DiscreteMeasure, DomainError
 
 #: Largest supported measure size for the assignment solver.
-M_MAX = 512
+M_MAX = 1024
 
 
 def _check_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
@@ -56,44 +57,92 @@ def ground_cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, h: float) -> np
 def solve_assignment(costs: np.ndarray) -> np.ndarray:
     """Minimum-cost row-to-column assignment of a square cost matrix.
 
-    Hungarian method with row/column potentials and shortest augmenting
-    paths.  Ties are broken toward the lowest column index (argmin picks
-    the first minimum), so the result is deterministic.
+    Shortest augmenting paths with a Jonker-Volgenant warm start (Jonker &
+    Volgenant 1987; Crouse 2016).  Column reduction sets each column
+    potential to the column minimum and gives each row the lowest column
+    whose minimum it holds; reduction transfer then lowers the potential of
+    each assigned column as far as its row allows.  Every row still free
+    is matched by one Dijkstra search over the reduced costs
+    ``c[i, j] - v[j]``.  Row potentials are implicit: an assigned row i
+    has ``u_i = c[i, x_i] - v[x_i]``.
+
+    The same input always gives the same output, and a matrix with all
+    entries equal gives the identity.  Entries must be finite, and so must
+    every reduced cost and potential: NaN, +-inf, or a spread that
+    overflows double precision raises DomainError.
     """
     c = np.asarray(costs, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DomainError(f"cost matrix must be square, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise DomainError("cost matrix has a non-finite entry")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _augmenting_paths(c)
+    except FloatingPointError as exc:
+        raise DomainError("cost matrix spread overflows double precision") from exc
+
+
+def _augmenting_paths(c: np.ndarray) -> np.ndarray:
     m = c.shape[0]
-    u = np.zeros(m + 1)
-    v = np.zeros(m + 1)
-    owner = np.full(m + 1, -1, dtype=int)  # row matched to each column; column m is the root
-    for i in range(m):
-        owner[m] = i
-        j_cur = m
-        min_reduced = np.full(m, np.inf)
-        parent = np.full(m, -1, dtype=int)
-        visited = np.zeros(m + 1, dtype=bool)
-        while owner[j_cur] != -1:
-            visited[j_cur] = True
-            row = owner[j_cur]
-            reduced = c[row] - u[row] - v[:m]
-            better = ~visited[:m] & (reduced < min_reduced)
-            min_reduced[better] = reduced[better]
-            parent[better] = j_cur
-            candidates = np.where(visited[:m], np.inf, min_reduced)
-            j_next = int(np.argmin(candidates))
-            delta = candidates[j_next]
-            u[owner[visited]] += delta
-            v[visited] -= delta
-            min_reduced[~visited[:m]] -= delta
-            j_cur = j_next
-        while j_cur != m:
-            j_prev = parent[j_cur]
-            owner[j_cur] = owner[j_prev]
-            j_cur = j_prev
-    assignment = np.empty(m, dtype=int)
-    assignment[owner[:m]] = np.arange(m)
-    return assignment
+    col_of_row = np.full(m, -1, dtype=int)
+    row_of_col = np.full(m, -1, dtype=int)
+    if m == 0:
+        return col_of_row
+
+    # Column reduction, in forward column order: the lowest column wins.
+    v = c.min(axis=0)
+    for j, i in enumerate(c.argmin(axis=0).tolist()):
+        if col_of_row[i] < 0:
+            col_of_row[i] = j
+            row_of_col[j] = i
+
+    # Reduction transfer: u_i becomes the second smallest c[i, j] - v[j].
+    if m > 1:
+        assigned = np.flatnonzero(col_of_row >= 0)
+        reduced = c[assigned] - v
+        reduced[np.arange(len(assigned)), col_of_row[assigned]] = np.inf
+        v[col_of_row[assigned]] -= reduced.min(axis=1)
+
+    # One Dijkstra search per free row.  `dist` holds tentative path
+    # lengths, inf once a column is scanned; `v_open` is v with scanned
+    # columns at -inf, so their trial lengths are +inf and the strict
+    # comparison never reopens them.
+    dist = np.empty(m)
+    v_open = np.empty(m)
+    trial = np.empty(m)
+    shorter = np.empty(m, dtype=bool)
+    pred = np.empty(m, dtype=int)
+    for free_row in np.flatnonzero(col_of_row < 0).tolist():
+        np.subtract(c[free_row], v, out=dist)
+        np.copyto(v_open, v)
+        pred.fill(free_row)
+        scanned = []
+        scanned_dist = []
+        while True:
+            j = int(dist.argmin())
+            lowest = dist[j]
+            row = int(row_of_col[j])
+            if row < 0:
+                break
+            scanned.append(j)
+            scanned_dist.append(lowest)
+            dist[j] = np.inf
+            v_open[j] = -np.inf
+            # Relax through `row`: lowest + c[row, k] - v[k] - u_row.
+            np.subtract(c[row], v_open, out=trial)
+            trial += lowest - (c[row, j] - v[j])
+            np.less(trial, dist, out=shorter)
+            np.copyto(dist, trial, where=shorter)
+            np.copyto(pred, row, where=shorter)
+        v[scanned] += np.array(scanned_dist) - lowest
+        while True:
+            i = int(pred[j])
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if i == free_row:
+                break
+    return col_of_row
 
 
 def w2_uniform(

@@ -16,6 +16,7 @@ from msdcost import (
     solve_assignment,
     w2_uniform,
 )
+from msdcost.transport import M_MAX
 
 
 def rest_measure(positions, n):
@@ -34,6 +35,49 @@ def brute_force_minimum(costs):
         total = sum(costs[i, perm[i]] for i in range(m))
         best = min(best, total)
     return best
+
+
+def hungarian_reference(costs: np.ndarray) -> np.ndarray:
+    """Minimum-cost row-to-column assignment of a square cost matrix.
+
+    Hungarian method with row/column potentials and shortest augmenting
+    paths: the solver behind ``solve_assignment`` before its
+    Jonker-Volgenant rewrite, kept as the reference it is checked against.
+    """
+    c = np.asarray(costs, dtype=float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise DomainError(f"cost matrix must be square, got shape {c.shape}")
+    m = c.shape[0]
+    u = np.zeros(m + 1)
+    v = np.zeros(m + 1)
+    owner = np.full(m + 1, -1, dtype=int)  # row matched to each column; column m is the root
+    for i in range(m):
+        owner[m] = i
+        j_cur = m
+        min_reduced = np.full(m, np.inf)
+        parent = np.full(m, -1, dtype=int)
+        visited = np.zeros(m + 1, dtype=bool)
+        while owner[j_cur] != -1:
+            visited[j_cur] = True
+            row = owner[j_cur]
+            reduced = c[row] - u[row] - v[:m]
+            better = ~visited[:m] & (reduced < min_reduced)
+            min_reduced[better] = reduced[better]
+            parent[better] = j_cur
+            candidates = np.where(visited[:m], np.inf, min_reduced)
+            j_next = int(np.argmin(candidates))
+            delta = candidates[j_next]
+            u[owner[visited]] += delta
+            v[visited] -= delta
+            min_reduced[~visited[:m]] -= delta
+            j_cur = j_next
+        while j_cur != m:
+            j_prev = parent[j_cur]
+            owner[j_cur] = owner[j_prev]
+            j_cur = j_prev
+    assignment = np.empty(m, dtype=int)
+    assignment[owner[:m]] = np.arange(m)
+    return assignment
 
 
 # ------------------------------------------------------------ ground cost
@@ -104,6 +148,8 @@ def test_ground_cost_shape_errors():
 
 
 def test_solve_assignment_small_cases():
+    empty = solve_assignment(np.zeros((0, 0)))
+    assert empty.shape == (0,) and empty.dtype.kind == "i"
     np.testing.assert_array_equal(solve_assignment(np.array([[5.0]])), [0])
     costs = np.array([[1.0, 10.0], [10.0, 1.0]])
     np.testing.assert_array_equal(solve_assignment(costs), [0, 1])
@@ -125,6 +171,45 @@ def test_solve_assignment_matches_brute_force():
 def test_solve_assignment_deterministic_on_ties():
     costs = np.zeros((4, 4))
     np.testing.assert_array_equal(solve_assignment(costs), [0, 1, 2, 3])
+
+
+def _reference_cases():
+    rng = np.random.default_rng(202)
+    for m in (1, 2, 3, 5, 16, 64):
+        for scale in (1e-3, 1e-1, 1e1, 1e3):
+            yield rng.uniform(0.0, scale, (m, m))
+    for m in (2, 4, 7, 16, 64):
+        for _ in range(4):
+            yield np.round(rng.uniform(0.0, 4.0, (m, m)), 1)  # coarse grid forces ties
+    for h in (0.3, 1.0, 5.0):
+        mu = DiscreteMeasure.from_array(rng.standard_normal((64, 3, 2)))
+        nu = DiscreteMeasure.from_array(rng.standard_normal((64, 3, 2)))
+        yield ground_cost_matrix(mu, nu, h)
+
+
+def test_solve_assignment_matches_hungarian_reference():
+    for costs in _reference_cases():
+        m = costs.shape[0]
+        assignment = solve_assignment(costs)
+        assert sorted(assignment.tolist()) == list(range(m))
+        total = costs[np.arange(m), assignment].sum()
+        expected = costs[np.arange(m), hungarian_reference(costs)].sum()
+        assert total == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "costs",
+    [
+        np.array([[np.nan, 1.0], [1.0, 0.0]]),
+        np.array([[np.inf, np.inf], [1.0, 0.0]]),
+        np.array([[1.0, 0.0], [-np.inf, 2.0]]),
+        np.array([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]]),
+    ],
+    ids=["nan", "inf", "-inf", "spread-overflow"],
+)
+def test_solve_assignment_refuses_non_finite(costs):
+    with pytest.raises(DomainError):
+        solve_assignment(costs)
 
 
 # ---------------------------------------------------------------- w2
@@ -195,7 +280,7 @@ def test_w2_directed_values_differ():
 
 
 def test_w2_size_cap():
-    big = DiscreteMeasure.from_array(np.zeros((513, 1, 1)))
+    big = DiscreteMeasure.from_array(np.zeros((M_MAX + 1, 1, 1)))
     with pytest.raises(DomainError):
         w2_uniform(big, big, 1.0)
 
