@@ -3,8 +3,9 @@
 Subcommands: cost, trajectory, matrices, transport, selftest.
 Exit codes: 0 success, 1 selftest failure, 2 parse/schema error,
 3 domain error (including a result that overflows double precision, which
-strict JSON cannot carry).  Diagnostics go to stderr; stdout carries only
-complete JSON documents (or the selftest report).
+strict JSON cannot carry), and 141 (128 + SIGPIPE) from ``entry`` when
+the reader of stdout has gone away.  Diagnostics go to stderr; stdout
+carries only complete JSON documents (or the selftest report).
 
 Problem schema: {"n": int, "h": number, "d": int,
                  "x": [[number x d] x n], "y": [[number x d] x n]}
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -194,7 +197,8 @@ def _cmd_matrices(args) -> dict:
     requested = args.which or list(_MATRIX_NAMES)
     out = {}
     for name in requested:
-        matrix = builders[name](n, h)
+        with np.errstate(over="ignore"):  # an infinite entry is refused by _render
+            matrix = builders[name](n, h)
         out[name] = {
             "rows": matrix.shape[0],
             "cols": matrix.shape[1],
@@ -249,7 +253,9 @@ def _render(payload: dict) -> str:
         raise DomainError(f"result is not representable as JSON: {exc}") from None
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one argument parser of the CLI, built on first use."""
     parser = argparse.ArgumentParser(
         prog="msdcost",
         description="Minimum mean-squared-derivative costs, trajectories, and transport.",
@@ -311,4 +317,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nobody reads stdout any more: send the rest of the output, and the
+        # interpreter's final flush, to devnull instead of a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as a shell reports a writer the pipe killed
+    sys.exit(code)

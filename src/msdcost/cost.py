@@ -139,16 +139,18 @@ def cost(problem: CostProblem, route: str = "algorithm51") -> CostBreakdown:
     """
     n = _check_order(problem.n)
     h = _check_horizon(problem.h)
-    b = build_b(problem)
-    if route == "algorithm51":
-        M = build_B(n, h) @ build_A_inv(n, h)
-        total = form_totals(M, b)
-    elif route == "kform":
-        total = _kform_total(n, h, b)
-    elif route == "scaled":
-        total = _scaled_total(n, h, b)
-    else:
-        raise DomainError(f"unknown cost route {route!r}, expected one of {ROUTES}")
+    # an overflow shows as a non-finite total, which finalize_totals refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = build_b(problem)
+        if route == "algorithm51":
+            M = build_B(n, h) @ build_A_inv(n, h)
+            total = form_totals(M, b)
+        elif route == "kform":
+            total = _kform_total(n, h, b)
+        elif route == "scaled":
+            total = _scaled_total(n, h, b)
+        else:
+            raise DomainError(f"unknown cost route {route!r}, expected one of {ROUTES}")
     return CostBreakdown(
         total=float(finalize_totals(total)), route=route, b=b, clamped=bool(total < 0.0)
     )

@@ -19,9 +19,13 @@ All indices are 0-based.  Entry formulas (i = row, j = column):
     Linv[i,j] = (-1)**(i-j) * (i!/j!) * C(n+i-j-1, i-j) * h**(j-i)  (i >= j)
     K[i,j]    = (n!)**2 * C(n+i,n) * C(n+j,n) * h**(i+j+1)/(i+j+1)
 
-Integer parts are computed exactly (Python integers) and converted to
-float once; powers of h come from a single cached table so identical
-entries are bit-identical across builders.
+Each builder is an entry function giving the exact integer or rational
+coefficient, the h exponent and a divisor (applied after the power, as in
+the Uinv and K formulas); the coefficients are rounded once per n and
+cached.  A call multiplies them by powers of h from one helper that forms
+every power by repeated multiplication, so equal powers are bit-identical
+across builders, and writes only the assigned entries: structural zeros
+stay bit zero even when a power overflows.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 
@@ -50,39 +56,67 @@ def _check_order(n: int) -> int:
 
 def _check_horizon(h: float, allow_zero: bool = False) -> float:
     h = float(h)
-    if not np.isfinite(h) or h < 0.0 or (h == 0.0 and not allow_zero):
+    if not math.isfinite(h) or h < 0.0 or (h == 0.0 and not allow_zero):
         kind = "nonnegative" if allow_zero else "positive"
         raise DomainError(f"horizon must be {kind} and finite, got h={h}")
     return h
 
 
-def h_power_table(n: int, h: float) -> dict[int, float]:
-    """Powers h**e for e in [-2n, 2n], by repeated multiplication.
+def _powers(h: float, lo: int, hi: int) -> list[float]:
+    """[h**lo, ..., h**hi] for lo <= 0 <= hi, each by repeated multiplication.
 
-    Every builder draws from this table so that, for fixed (n, h), equal
-    powers are bit-identical everywhere.  Negative powers are skipped for
-    h = 0 (only V is defined there).
+    Every power of h in the package comes from here, so for fixed h equal
+    powers are bit-identical everywhere.
     """
-    table = {0: 1.0}
-    for e in range(1, 2 * n + 1):
-        table[e] = table[e - 1] * h
-    if h != 0.0:
-        inv = 1.0 / h
-        for e in range(-1, -2 * n - 1, -1):
-            table[e] = table[e + 1] * inv
-    return table
+    up = list(accumulate(repeat(h, hi), mul, initial=1.0))
+    return list(accumulate(repeat(1.0 / h, -lo), mul))[::-1] + up if lo else up
+
+
+def h_power_table(n: int, h: float) -> dict[int, float]:
+    """Powers h**e for e in [-2n, 2n]; negative powers are skipped for h = 0."""
+    lo = -2 * n if h else 0
+    return dict(zip(range(lo, 2 * n + 1), _powers(h, lo, 2 * n)))
+
+
+@lru_cache(maxsize=None)
+def _table(entry, n: int) -> tuple:
+    """Flat positions, coefficients, power indices, divisors and power range.
+
+    ``entry(n, i, j)`` returns (coefficient, exponent, divisor) for an
+    assigned entry and None for a structural zero.
+    """
+    cells = [
+        (i * n + j, float(cell[0]), cell[1], float(cell[2]))
+        for i in range(n)
+        for j in range(n)
+        if (cell := entry(n, i, j)) is not None
+    ]
+    pos, coef, exponent, div = (np.array(column) for column in zip(*cells))
+    lo, hi = min(exponent.min(), 0), max(exponent.max(), 0)
+    return pos, coef, exponent - lo, div, int(lo), int(hi)
+
+
+def _tabulate(entry, n: int, h: float, allow_zero: bool = False) -> np.ndarray:
+    n = _check_order(n)
+    h = _check_horizon(h, allow_zero)
+    pos, coef, power_index, div, lo, hi = _table(entry, n)
+    out = np.zeros(n * n)
+    out[pos] = coef * np.array(_powers(h, lo, hi))[power_index] / div
+    return out.reshape(n, n)
+
+
+def _a_entry(n, i, j):
+    return math.factorial(n + j) // math.factorial(n + j - i), n + j - i, 1
 
 
 def build_A(n: int, h: float) -> np.ndarray:
     """Derivative matrix of the upper monomial block at t = h (n x n)."""
-    n = _check_order(n)
-    h = _check_horizon(h)
-    p = h_power_table(n, h)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = (math.factorial(n + j) // math.factorial(n + j - i)) * p[n + j - i]
-    return out
+    return _tabulate(_a_entry, n, h)
+
+
+def _v_entry(n, i, j):
+    if j >= i:
+        return math.factorial(j) // math.factorial(j - i), j - i, 1
 
 
 def build_V(n: int, h: float) -> np.ndarray:
@@ -91,14 +125,13 @@ def build_V(n: int, h: float) -> np.ndarray:
     V(0) = diag(0!, 1!, ..., (n-1)!), which is what maps initial derivative
     values to the low-order polynomial coefficients.
     """
-    n = _check_order(n)
-    h = _check_horizon(h, allow_zero=True)
-    p = h_power_table(n, h)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            out[i, j] = (math.factorial(j) // math.factorial(j - i)) * p[j - i]
-    return out
+    return _tabulate(_v_entry, n, h, allow_zero=True)
+
+
+def _b_entry(n, i, j):
+    if i + j >= n - 1:
+        e = i + j - n + 1
+        return (-1) ** (n - i - 1) * math.factorial(n + j) // math.factorial(e), e, 1
 
 
 def build_B(n: int, h: float) -> np.ndarray:
@@ -106,17 +139,7 @@ def build_B(n: int, h: float) -> np.ndarray:
 
     Entries vanish exactly (bit zero) above the anti-diagonal i + j = n - 1.
     """
-    n = _check_order(n)
-    h = _check_horizon(h)
-    p = h_power_table(n, h)
-    out = np.zeros((n, n))
-    for i in range(n):
-        sign = (-1.0) ** (n - i - 1)
-        for j in range(max(0, n - 1 - i), n):
-            out[i, j] = sign * (
-                math.factorial(n + j) // math.factorial(i + j - n + 1)
-            ) * p[i + j - n + 1]
-    return out
+    return _tabulate(_b_entry, n, h)
 
 
 def taylor_propagate(values: np.ndarray, h: float) -> np.ndarray:
@@ -126,20 +149,21 @@ def taylor_propagate(values: np.ndarray, h: float) -> np.ndarray:
     free-flight end state of a start stack ``values``.  Accepts an (n,)
     or (n, d) stack, or stacks of them (..., n, d) propagated along axis
     -2 in one pass; each stack's result is bit-identical to propagating
-    it alone.
+    it alone.  Row k accumulates its terms in increasing j from zero, one
+    shifted multiply-add per power.
     """
     values = np.asarray(values, dtype=float)
-    rows = (values[:, None] if values.ndim == 1 else values).swapaxes(0, -2)
+    stack = values[:, None] if values.ndim == 1 else values
+    rows = stack.swapaxes(0, -2)
     n = rows.shape[0]
     h = _check_horizon(h)
-    p = h_power_table(n, h)
-    out = np.zeros_like(rows)
-    for k in range(n):
-        acc = np.zeros(rows.shape[1:])
-        for j in range(k, n):
-            acc = acc + (p[j - k] / math.factorial(j - k)) * rows[j]
-        out[k] = acc
-    return out.swapaxes(0, -2).reshape(values.shape)
+    c = [p / math.factorial(s) for s, p in enumerate(_powers(h, 0, n - 1))]
+    out = np.zeros(stack.shape)  # C order in the caller's layout
+    acc = out.swapaxes(0, -2)
+    for s in range(n):
+        head = acc[: n - s]  # a view: the in-place add needs no write-back
+        head += c[s] * rows[s:]
+    return out.reshape(values.shape)
 
 
 def build_b(problem: CostProblem) -> np.ndarray:
@@ -148,59 +172,46 @@ def build_b(problem: CostProblem) -> np.ndarray:
     return problem.end.values - taylor_propagate(problem.start.values, problem.h)
 
 
+def _u_entry(n, i, j):
+    if j >= i:
+        return math.factorial(j) // math.factorial(j - i), n + j - i, 1
+
+
 def build_U(n: int, h: float) -> np.ndarray:
     """Upper triangular factor of A; diagonal entry (k, k) is k! * h**n."""
-    n = _check_order(n)
-    h = _check_horizon(h)
-    p = h_power_table(n, h)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            out[i, j] = (math.factorial(j) // math.factorial(j - i)) * p[n + j - i]
-    return out
+    return _tabulate(_u_entry, n, h)
+
+
+def _l_entry(n, i, j):
+    if j <= i:
+        coef = math.comb(i, j) * math.factorial(n) // math.factorial(n - i + j)
+        return coef, j - i, 1
 
 
 def build_L(n: int, h: float) -> np.ndarray:
     """Unit lower triangular factor of A (A = L U)."""
-    n = _check_order(n)
-    h = _check_horizon(h)
-    p = h_power_table(n, h)
-    out = np.zeros((n, n))
-    nfact = math.factorial(n)
-    for i in range(n):
-        for j in range(i + 1):
-            out[i, j] = math.comb(i, j) * (nfact / math.factorial(n - i + j)) * p[j - i]
-    return out
+    return _tabulate(_l_entry, n, h)
+
+
+def _u_inv_entry(n, i, j):
+    if j >= i:
+        return (-1) ** (i + j), j - i - n, math.factorial(i) * math.factorial(j - i)
 
 
 def build_U_inv(n: int, h: float) -> np.ndarray:
     """Closed-form inverse of the upper factor U."""
-    n = _check_order(n)
-    h = _check_horizon(h)
-    p = h_power_table(n, h)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            out[i, j] = (-1.0) ** (i + j) * p[j - i - n] / (
-                math.factorial(i) * math.factorial(j - i)
-            )
-    return out
+    return _tabulate(_u_inv_entry, n, h)
+
+
+def _l_inv_entry(n, i, j):
+    if j <= i:
+        coef = (-1) ** (i - j) * math.factorial(i) // math.factorial(j)
+        return coef * math.comb(n + i - j - 1, i - j), j - i, 1
 
 
 def build_L_inv(n: int, h: float) -> np.ndarray:
     """Closed-form inverse of the unit lower factor L."""
-    n = _check_order(n)
-    h = _check_horizon(h)
-    p = h_power_table(n, h)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            out[i, j] = (
-                (-1.0) ** (i - j)
-                * (math.factorial(i) // math.factorial(j))
-                * math.comb(n + i - j - 1, i - j)
-            ) * p[j - i]
-    return out
+    return _tabulate(_l_inv_entry, n, h)
 
 
 @lru_cache(maxsize=None)
@@ -212,38 +223,33 @@ def _a_inv_coefficients(n: int) -> tuple[tuple[Fraction, ...], ...]:
     conversion; a float-by-float product would lose ~5 digits by n = 12
     through cancellation between the large alternating terms.
     """
-    ui = [[Fraction(0)] * n for _ in range(n)]
-    li = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            ui[i][j] = Fraction(
-                (-1) ** (i + j), math.factorial(i) * math.factorial(j - i)
-            )
-        for j in range(i + 1):
-            li[i][j] = Fraction(
-                (-1) ** (i - j)
-                * (math.factorial(i) // math.factorial(j))
-                * math.comb(n + i - j - 1, i - j)
-            )
-    rows = []
-    for i in range(n):
-        rows.append(
-            tuple(sum(ui[i][k] * li[k][j] for k in range(i, n)) for j in range(n))
-        )
-    return tuple(rows)
+
+    def exact(entry, i, j):
+        cell = entry(n, i, j)
+        return Fraction(cell[0], cell[2]) if cell else Fraction(0)
+
+    ui, li = (
+        [[exact(entry, i, j) for j in range(n)] for i in range(n)]
+        for entry in (_u_inv_entry, _l_inv_entry)
+    )
+    return tuple(
+        tuple(sum(ui[i][k] * li[k][j] for k in range(i, n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _a_inv_entry(n, i, j):
+    return _a_inv_coefficients(n)[i][j], j - i - n, 1
 
 
 def build_A_inv(n: int, h: float) -> np.ndarray:
     """Inverse of A as the product U^-1 L^-1 (exact rational coefficients)."""
-    n = _check_order(n)
-    h = _check_horizon(h)
-    p = h_power_table(n, h)
-    coef = _a_inv_coefficients(n)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = float(coef[i][j]) * p[j - i - n]
-    return out
+    return _tabulate(_a_inv_entry, n, h)
+
+
+def _k_entry(n, i, j):
+    coef = math.factorial(n) ** 2 * math.comb(n + i, n) * math.comb(n + j, n)
+    return coef, i + j + 1, i + j + 1
 
 
 def build_K(n: int, h: float) -> np.ndarray:
@@ -251,16 +257,7 @@ def build_K(n: int, h: float) -> np.ndarray:
 
     Symmetric positive definite; a diagonally scaled Hilbert-type matrix.
     """
-    n = _check_order(n)
-    h = _check_horizon(h)
-    p = h_power_table(n, h)
-    nfact2 = math.factorial(n) ** 2
-    c = [nfact2 * math.comb(n + i, n) for i in range(n)]
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = (c[i] * math.comb(n + j, n)) * p[i + j + 1] / (i + j + 1)
-    return out
+    return _tabulate(_k_entry, n, h)
 
 
 def det_A(n: int, h: float) -> float:

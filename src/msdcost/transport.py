@@ -45,12 +45,14 @@ def ground_cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, h: float) -> np
     """
     _check_pair(mu, nu)
     n = mu.n
-    form = build_B(n, h) @ build_A_inv(n, h)
-    propagated = taylor_propagate(np.stack([p.values for p in mu.points]), h)
-    ends = np.stack([p.values for p in nu.points])
     out = np.empty((mu.m, nu.m))
-    for i in range(mu.m):
-        out[i] = form_totals(form, ends - propagated[i])
+    # an overflow shows as a non-finite entry, which finalize_totals refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = build_B(n, h) @ build_A_inv(n, h)
+        propagated = taylor_propagate(np.stack([p.values for p in mu.points]), h)
+        ends = np.stack([p.values for p in nu.points])
+        for i in range(mu.m):
+            out[i] = form_totals(form, ends - propagated[i])
     return finalize_totals(out)
 
 

@@ -1,13 +1,15 @@
 import io
 import json
+import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from msdcost import TrajectoryPolynomial, quadrature_cost
-from msdcost.cli import main
+from msdcost.cli import build_parser, main
 
 PROBLEM = {"n": 2, "h": 1.0, "d": 1, "x": [[0.0], [0.0]], "y": [[1.0], [0.0]]}
 FREE_FLIGHT = {"n": 2, "h": 1.0, "d": 1, "x": [[0.0], [1.0]], "y": [[1.0], [1.0]]}
@@ -99,6 +101,22 @@ def test_cost_overflow_exits_3_without_output(route, monkeypatch, capsys):
     code, out, err = run_cli(["cost", "--route", route], doc, monkeypatch, capsys)
     assert code == 3
     assert out == ""
+    assert "double precision" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["cost", "--route", r] for r in ("alg51", "scaled", "kform")] + [["transport"]],
+)
+def test_overflow_exits_3_without_numpy_warnings(args, monkeypatch, capsys):
+    # finalize_totals is the one rule for a non-finite total: the overflow
+    # on the way there is expected and must not surface as a RuntimeWarning
+    x, y = [[0.0]] * 12, [[1.0]] + [[0.0]] * 11
+    doc = {"n": 12, "h": 1e-13, "d": 1, "x": x, "y": y, "mu": [x], "nu": [y]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(args, doc, monkeypatch, capsys)
+    assert (code, out) == (3, "")
     assert "double precision" in err
 
 
@@ -278,6 +296,14 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    build_parser.cache_clear()
+    assert run_cli(["matrices", "2", "1.0"], None, monkeypatch, capsys)[0] == 0
+    assert run_cli(["cost"], PROBLEM, monkeypatch, capsys)[0] == 0
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_selftest_json(capsys):
     code = main(["selftest", "--json"])
     out, _ = capsys.readouterr()
@@ -315,3 +341,19 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["cost"] == pytest.approx(12.0, rel=1e-12)
+
+
+def test_closed_stdout_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "msdcost", "selftest", "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

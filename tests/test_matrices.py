@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from msdcost import (
     make_problem,
     taylor_propagate,
 )
+from msdcost.matrices import _a_inv_coefficients, _check_horizon, _check_order
 
 H_GRID = (0.5, 1.0, 2.0, 10.0)
 
@@ -314,3 +316,234 @@ def test_boundary_state_validation():
         BoundaryState(np.zeros((0, 1)))
     state = BoundaryState([1.0, 2.0, 3.0])
     assert state.n == 3 and state.d == 1
+
+
+# ------------------------------------------- loop references for the tables
+#
+# The builders as they were written before they became coefficient tables:
+# one Python double loop per matrix over exact integer formulas and one
+# dict of powers.  The table builders must reproduce them bit for bit.
+
+def h_power_table_reference(n: int, h: float) -> dict[int, float]:
+    """Powers h**e for e in [-2n, 2n], by repeated multiplication."""
+    table = {0: 1.0}
+    for e in range(1, 2 * n + 1):
+        table[e] = table[e - 1] * h
+    if h != 0.0:
+        inv = 1.0 / h
+        for e in range(-1, -2 * n - 1, -1):
+            table[e] = table[e + 1] * inv
+    return table
+
+
+def build_A_reference(n: int, h: float) -> np.ndarray:
+    """Derivative matrix of the upper monomial block at t = h (n x n)."""
+    n = _check_order(n)
+    h = _check_horizon(h)
+    p = h_power_table_reference(n, h)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = (math.factorial(n + j) // math.factorial(n + j - i)) * p[n + j - i]
+    return out
+
+
+def build_V_reference(n: int, h: float) -> np.ndarray:
+    """Derivative matrix of the lower monomial block at t = h (upper triangular)."""
+    n = _check_order(n)
+    h = _check_horizon(h, allow_zero=True)
+    p = h_power_table_reference(n, h)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            out[i, j] = (math.factorial(j) // math.factorial(j - i)) * p[j - i]
+    return out
+
+
+def build_B_reference(n: int, h: float) -> np.ndarray:
+    """Bilinear-form matrix pairing the gap vector with the solved coefficients."""
+    n = _check_order(n)
+    h = _check_horizon(h)
+    p = h_power_table_reference(n, h)
+    out = np.zeros((n, n))
+    for i in range(n):
+        sign = (-1.0) ** (n - i - 1)
+        for j in range(max(0, n - 1 - i), n):
+            out[i, j] = sign * (
+                math.factorial(n + j) // math.factorial(i + j - n + 1)
+            ) * p[i + j - n + 1]
+    return out
+
+
+def taylor_propagate_reference(values: np.ndarray, h: float) -> np.ndarray:
+    """Propagate a derivative stack forward by time h under zero n-th derivative."""
+    values = np.asarray(values, dtype=float)
+    rows = (values[:, None] if values.ndim == 1 else values).swapaxes(0, -2)
+    n = rows.shape[0]
+    h = _check_horizon(h)
+    p = h_power_table_reference(n, h)
+    out = np.zeros_like(rows)
+    for k in range(n):
+        acc = np.zeros(rows.shape[1:])
+        for j in range(k, n):
+            acc = acc + (p[j - k] / math.factorial(j - k)) * rows[j]
+        out[k] = acc
+    return out.swapaxes(0, -2).reshape(values.shape)
+
+
+def build_U_reference(n: int, h: float) -> np.ndarray:
+    """Upper triangular factor of A; diagonal entry (k, k) is k! * h**n."""
+    n = _check_order(n)
+    h = _check_horizon(h)
+    p = h_power_table_reference(n, h)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            out[i, j] = (math.factorial(j) // math.factorial(j - i)) * p[n + j - i]
+    return out
+
+
+def build_L_reference(n: int, h: float) -> np.ndarray:
+    """Unit lower triangular factor of A (A = L U)."""
+    n = _check_order(n)
+    h = _check_horizon(h)
+    p = h_power_table_reference(n, h)
+    out = np.zeros((n, n))
+    nfact = math.factorial(n)
+    for i in range(n):
+        for j in range(i + 1):
+            out[i, j] = math.comb(i, j) * (nfact / math.factorial(n - i + j)) * p[j - i]
+    return out
+
+
+def build_U_inv_reference(n: int, h: float) -> np.ndarray:
+    """Closed-form inverse of the upper factor U."""
+    n = _check_order(n)
+    h = _check_horizon(h)
+    p = h_power_table_reference(n, h)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            out[i, j] = (-1.0) ** (i + j) * p[j - i - n] / (
+                math.factorial(i) * math.factorial(j - i)
+            )
+    return out
+
+
+def build_L_inv_reference(n: int, h: float) -> np.ndarray:
+    """Closed-form inverse of the unit lower factor L."""
+    n = _check_order(n)
+    h = _check_horizon(h)
+    p = h_power_table_reference(n, h)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1):
+            out[i, j] = (
+                (-1.0) ** (i - j)
+                * (math.factorial(i) // math.factorial(j))
+                * math.comb(n + i - j - 1, i - j)
+            ) * p[j - i]
+    return out
+
+
+def a_inv_coefficients_reference(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact rational coefficients c with A(h)^-1[i,j] = c[i][j] * h**(j-i-n)."""
+    ui = [[Fraction(0)] * n for _ in range(n)]
+    li = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            ui[i][j] = Fraction(
+                (-1) ** (i + j), math.factorial(i) * math.factorial(j - i)
+            )
+        for j in range(i + 1):
+            li[i][j] = Fraction(
+                (-1) ** (i - j)
+                * (math.factorial(i) // math.factorial(j))
+                * math.comb(n + i - j - 1, i - j)
+            )
+    rows = []
+    for i in range(n):
+        rows.append(
+            tuple(sum(ui[i][k] * li[k][j] for k in range(i, n)) for j in range(n))
+        )
+    return tuple(rows)
+
+
+def build_A_inv_reference(n: int, h: float) -> np.ndarray:
+    """Inverse of A as the product U^-1 L^-1 (exact rational coefficients)."""
+    n = _check_order(n)
+    h = _check_horizon(h)
+    p = h_power_table_reference(n, h)
+    coef = a_inv_coefficients_reference(n)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = float(coef[i][j]) * p[j - i - n]
+    return out
+
+
+def build_K_reference(n: int, h: float) -> np.ndarray:
+    """Gram matrix of the n-th derivatives of the upper monomials on [0, h]."""
+    n = _check_order(n)
+    h = _check_horizon(h)
+    p = h_power_table_reference(n, h)
+    nfact2 = math.factorial(n) ** 2
+    c = [nfact2 * math.comb(n + i, n) for i in range(n)]
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = (c[i] * math.comb(n + j, n)) * p[i + j + 1] / (i + j + 1)
+    return out
+
+
+REFERENCE_H = (1e-13, 1e-3, 0.37, 1.0, 2.5, 100.0, 1e3, 1e30)
+TABLE_BUILDERS = (
+    (build_A, build_A_reference),
+    (build_V, build_V_reference),
+    (build_B, build_B_reference),
+    (build_U, build_U_reference),
+    (build_L, build_L_reference),
+    (build_U_inv, build_U_inv_reference),
+    (build_L_inv, build_L_inv_reference),
+    (build_A_inv, build_A_inv_reference),
+    (build_K, build_K_reference),
+)
+
+
+def assert_bit_identical(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert got.tobytes() == ref.tobytes()  # also tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("h", REFERENCE_H)
+def test_table_builders_match_loop_references(h):
+    with np.errstate(all="ignore"):
+        for n in range(1, N_MAX + 1):
+            assert h_power_table(n, h) == h_power_table_reference(n, h)
+            for builder, reference in TABLE_BUILDERS:
+                assert_bit_identical(builder(n, h), reference(n, h))
+
+
+def test_table_builders_match_loop_references_at_zero_horizon():
+    for n in range(1, N_MAX + 1):
+        assert h_power_table(n, 0.0) == h_power_table_reference(n, 0.0)
+        assert_bit_identical(build_V(n, 0.0), build_V_reference(n, 0.0))
+
+
+def test_exact_inverse_coefficients_match_loop_reference():
+    for n in range(1, N_MAX + 1):
+        assert _a_inv_coefficients(n) == a_inv_coefficients_reference(n)
+
+
+@pytest.mark.parametrize("h", REFERENCE_H)
+def test_taylor_propagate_matches_loop_reference(h):
+    rng = np.random.default_rng(44)
+    with np.errstate(all="ignore"):
+        for n in range(1, N_MAX + 1):
+            for shape in ((n,), (n, 3), (5, n, 2)):
+                values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+                values.flat[0] = -0.0
+                assert_bit_identical(
+                    taylor_propagate(values, h), taylor_propagate_reference(values, h)
+                )
