@@ -27,7 +27,7 @@ from .cost import (
     FREE_FLIGHT_TOL,
     cost,
     eval_trajectory,
-    is_free_flight,
+    gap_is_free_flight,
     solve_trajectory,
 )
 from .selftest import render_report, run_selftest
@@ -119,10 +119,6 @@ def _floats(arr: np.ndarray) -> list:
     return [float(v) for v in np.asarray(arr).ravel()]
 
 
-def _rows(arr: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.asarray(arr)]
-
-
 def _cmd_cost(args) -> dict:
     doc = _load_document(args.input)
     problem = parse_problem(doc)
@@ -130,15 +126,15 @@ def _cmd_cost(args) -> dict:
     payload = {
         "cost": breakdown.total,
         "route": breakdown.route,
-        "free_flight": is_free_flight(problem, tol=args.tol),
-        "b": _rows(breakdown.b),
+        "free_flight": gap_is_free_flight(problem, breakdown.b, tol=args.tol),
+        "b": breakdown.b.tolist(),
     }
     if breakdown.clamped:
         payload["clamped"] = True
     return payload
 
 
-def _parse_samples(doc, h: float) -> tuple[int, np.ndarray]:
+def _parse_samples(doc, h: float) -> tuple[int, list[float]]:
     samples = doc.get("samples", {}) if isinstance(doc, dict) else {}
     if not isinstance(samples, dict):
         raise SchemaError("field 'samples' must be an object")
@@ -156,11 +152,11 @@ def _parse_samples(doc, h: float) -> tuple[int, np.ndarray]:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise SchemaError(f"samples.times[{idx}] must be a number")
             times.append(float(value))
-        return k, np.array(times)
+        return k, times
     count = _get(samples, "count", int, required=False, default=11)
     if count < 1:
         raise DomainError(f"field 'samples.count' must be at least 1, got {count}")
-    return k, np.linspace(0.0, h, count)
+    return k, np.linspace(0.0, h, count).tolist()
 
 
 def _cmd_trajectory(args) -> dict:
@@ -168,16 +164,18 @@ def _cmd_trajectory(args) -> dict:
     problem = parse_problem(doc)
     k, times = _parse_samples(doc, problem.h)
     poly = solve_trajectory(problem)
-    values = [list(map(float, eval_trajectory(poly, k, t))) for t in times]
+    if not np.isfinite(poly.coeffs).all():
+        raise DomainError("trajectory coefficients are beyond double precision")
+    values = [eval_trajectory(poly, k, t).tolist() for t in times]
     return {
         "n": poly.n,
         "h": poly.h,
         "d": poly.d,
         "k": k,
-        "coeffs": _rows(poly.coeffs),
-        "times": [float(t) for t in times],
+        "coeffs": poly.coeffs.tolist(),
+        "times": times,
         "values": values,
-        "extrapolated": bool(times.size and ((times < 0) | (times > problem.h)).any()),
+        "extrapolated": any(t < 0.0 or t > problem.h for t in times),
     }
 
 

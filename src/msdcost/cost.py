@@ -16,6 +16,10 @@ evaluation routes are provided:
   h**i), evaluate everything at h = 1, and multiply by h**(1-2n).
   Better conditioned when h is far from 1.  At h = 1 this reproduces the
   default route bit for bit.
+
+Every route refuses a gap b that overflowed double precision.  The
+optimal trajectory is sampled in two-point Hermite form from its
+endpoint stacks, never from its monomial coefficients.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .matrices import (
     _a_inv_coefficients,
     _check_horizon,
     _check_order,
+    _powers,
     build_A_inv,
     build_B,
     build_b,
@@ -79,7 +84,10 @@ def finalize_totals(totals) -> np.ndarray:
     below -NEGATIVE_CLAMP raises ConsistencyError.
     """
     totals = np.asarray(totals, dtype=float)
-    lo, hi = float(totals.min()), float(totals.max())
+    if totals.ndim:
+        lo, hi = float(totals.min()), float(totals.max())
+    else:
+        lo = hi = float(totals)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         bad = hi if math.isfinite(lo) else lo
         raise DomainError(f"cost evaluated to {bad}, outside double precision")
@@ -142,6 +150,8 @@ def cost(problem: CostProblem, route: str = "algorithm51") -> CostBreakdown:
     # an overflow shows as a non-finite total, which finalize_totals refuses
     with np.errstate(over="ignore", invalid="ignore"):
         b = build_b(problem)
+        if not np.isfinite(b).all():
+            raise DomainError("gap vector b is beyond double precision")
         if route == "algorithm51":
             M = build_B(n, h) @ build_A_inv(n, h)
             total = form_totals(M, b)
@@ -173,42 +183,121 @@ def hessian(n: int, h: float) -> np.ndarray:
 
 
 def solve_trajectory(problem: CostProblem) -> TrajectoryPolynomial:
-    """Coefficients of the optimal polynomial (degree <= 2n-1), per dimension.
+    """The optimal polynomial (degree <= 2n-1): the Hermite interpolant of the stacks.
 
-    The low-order coefficients are a_k = x_k / k!; the upper block solves
-    A a = b through the closed-form inverse.
+    The result carries the endpoint stacks, which ``eval_trajectory``
+    samples, and the monomial coefficients as derived output: a_k = x_k / k!
+    below n, and the upper block solves A a = b through the closed-form
+    inverse.
     """
     n = _check_order(problem.n)
     h = _check_horizon(problem.h)
     x = problem.start.values
     inv_fact = np.array([1.0 / math.factorial(k) for k in range(n)])[:, None]
-    lower = x * inv_fact
-    upper = build_A_inv(n, h) @ build_b(problem)
+    # a coefficient may overflow where the stacks do not: it stays inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper = build_A_inv(n, h) @ build_b(problem)
     return TrajectoryPolynomial(
-        n=n, h=h, d=problem.d, coeffs=np.vstack([lower, upper])
+        n=n,
+        h=h,
+        d=problem.d,
+        coeffs=np.vstack([x * inv_fact, upper]),
+        start=x,
+        end=problem.end.values,
     )
+
+
+#: A sample with s = t/h in [0, 1] whose bound from ``_sampler`` is below
+#: this cannot overflow, so it skips the floating-point guard.
+_NO_OVERFLOW_BOUND = 1e300
+
+
+@lru_cache(maxsize=None)
+def _hermite_table(n: int, k: int) -> tuple:
+    """k-th derivatives of the 2n two-point Hermite basis functions in Bernstein form.
+
+    In s = t/h, basis function j < n has j-th derivative 1 at s = 0 and
+    every other derivative below n zero at s = 0 and s = 1; function n + j
+    is its mirror image times (-1)**j, so the same holds at s = 1.  In
+    degree N = 2n-1 Bernstein form, N! times the control points of function
+    j are the integers C(r, j)(N-j)! for r < n and 0 from r = n on.  Their
+    k-th forward differences times C(m, r)/m!, with m = N-k, are exact
+    rationals, rounded once into row j of T, so that the k-th derivative of
+    function j at s is sum_r T[j, r] s**r (1-s)**(m-r).  Returns T, the two
+    exponent vectors and the largest row sum of |T|, which bounds every
+    basis value for s in [0, 1].
+    """
+    N = 2 * n - 1
+    m = N - k
+    start = [
+        [math.comb(r, j) * math.factorial(N - j) if r < n else 0 for r in range(N + 1)]
+        for j in range(n)
+    ]
+    end = [[(-1) ** j * v for v in reversed(row)] for j, row in enumerate(start)]
+    rows = start + end
+    for _ in range(k):
+        rows = [[b - a for a, b in zip(row, row[1:])] for row in rows]
+    scale = [Fraction(math.comb(m, r), math.factorial(m)) for r in range(m + 1)]
+    T = np.array([[float(v * c) for v, c in zip(row, scale)] for row in rows])
+    exponents = np.arange(m + 1.0)
+    return T, exponents, exponents[::-1].copy(), float(np.abs(T).sum(axis=1).max())
+
+
+def _sampler(poly: TrajectoryPolynomial, k: int) -> tuple:
+    """Table, exponents, scaled stacks D and a no-overflow flag; once per (poly, k).
+
+    For k < n, D stacks h**(j-k) x_j over h**(j-k) y_j (h**0 is exactly 1,
+    so both endpoints come out bit-exact).  For k >= n only the gap b
+    drives the derivative, so D is zero over h**(j-k) b_j and free flight
+    gives exact zeros.
+    """
+    entry = poly._samplers.get(k)
+    if entry is None:
+        n, h = poly.n, poly.h
+        T, e, f, t_norm = _hermite_table(n, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if k < n:
+                p = np.array(_powers(h, -k, n - 1 - k))[:, None]
+                D = np.vstack([p * poly.start, p * poly.end])
+            else:
+                p = np.array(_powers(h, -k, 0)[:n])[:, None]
+                gap = poly.end - taylor_propagate(poly.start, h)
+                D = np.vstack([np.zeros_like(gap), p * gap])
+            bounded = bool(t_norm * np.abs(D).sum(axis=0).max() < _NO_OVERFLOW_BOUND)
+        entry = poly._samplers[k] = (T, e, f, D, bounded)
+    return entry
+
+
+def _hermite_sample(T, e, f, D, s: float) -> np.ndarray:
+    return T.dot(s**e * (1.0 - s) ** f).dot(D)
 
 
 def eval_trajectory(poly: TrajectoryPolynomial, k: int, t: float) -> np.ndarray:
     """k-th derivative of the trajectory at time t, as a d-vector.
 
-    Horner evaluation on the differentiated coefficients.  Times outside
-    [0, h] extrapolate the polynomial.  Any k >= 2n returns zeros (the
-    optimizer satisfies the stationarity condition xi^(2n) = 0).
+    Samples the two-point Hermite form: the k-th derivatives of the 2n
+    basis functions at s = t/h, from cached exact Bernstein tables, are
+    combined with the endpoint stacks scaled by h**(j-k).  For k < n the
+    samples at t = 0 and t = h are the stack rows x_k and y_k bit for bit.
+    Times outside [0, h] extrapolate the polynomial.  Any k >= 2n returns
+    zeros (the optimizer satisfies the stationarity condition xi^(2n) = 0).
+    A sample beyond double precision raises DomainError naming t.
     """
     if k < 0:
         raise DomainError(f"derivative order must be nonnegative, got k={k}")
-    deg = 2 * poly.n
-    if k >= deg:
+    if k >= 2 * poly.n:
         return np.zeros(poly.d)
-    dcoef = [
-        (math.factorial(i) // math.factorial(i - k)) * poly.coeffs[i]
-        for i in range(k, deg)
-    ]
-    val = dcoef[-1].copy()
-    for row in reversed(dcoef[:-1]):
-        val = val * t + row
-    return val
+    T, e, f, D, bounded = _sampler(poly, k)
+    s = float(t) / poly.h
+    if bounded and 0.0 <= s <= 1.0:  # cannot overflow: no guard needed
+        return _hermite_sample(T, e, f, D, s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _hermite_sample(T, e, f, D, s)
+    if not np.isfinite(value).all():
+        raise DomainError(
+            f"trajectory derivative k={k} at t={t} is beyond double precision"
+        )
+    return value
 
 
 def free_flight_target(n: int, h: float, start: BoundaryState) -> BoundaryState:
@@ -225,9 +314,15 @@ def free_flight_target(n: int, h: float, start: BoundaryState) -> BoundaryState:
 
 def is_free_flight(problem: CostProblem, tol: float = FREE_FLIGHT_TOL) -> bool:
     """True when the gap vector vanishes relative to the boundary data."""
+    return gap_is_free_flight(problem, build_b(problem), tol)
+
+
+def gap_is_free_flight(
+    problem: CostProblem, b: np.ndarray, tol: float = FREE_FLIGHT_TOL
+) -> bool:
+    """``is_free_flight`` on the problem's gap b, already computed by ``cost``."""
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    b = build_b(problem)
     scale = float(
         max(np.abs(problem.start.values).max(), np.abs(problem.end.values).max())
     )

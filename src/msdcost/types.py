@@ -7,7 +7,7 @@ array whose row k holds the k-th derivative of the curve at that endpoint
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,28 +94,59 @@ def make_problem(h: float, x, y) -> CostProblem:
     return CostProblem(n=start.n, h=float(h), d=start.d, start=start, end=end)
 
 
+def _frozen_stack(name: str, values, shape: tuple) -> np.ndarray:
+    arr = np.array(values, dtype=float, copy=True)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.shape != shape:
+        raise DomainError(f"{name} array must have shape {shape}, got {arr.shape}")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class TrajectoryPolynomial:
-    """Optimal curve coefficients: row i of ``coeffs`` is a_i in sum a_i t**i.
+    """Optimal curve of degree at most 2n-1 on [0, h], d spatial columns.
 
-    The polynomial has degree at most 2n-1 (2n coefficient rows, d columns).
+    ``start`` and ``end`` are the (n, d) derivative stacks at t = 0 and
+    t = h; they fix the curve (a two-point Hermite interpolant), and
+    ``eval_trajectory`` samples it from them.  ``coeffs`` holds the same
+    curve in monomial form, row i being a_i in sum a_i t**i (2n rows); it
+    is derived output, ill-conditioned for large n or h far from 1, and
+    may overflow where the stacks do not.  Built from ``coeffs`` alone,
+    the stacks are derived once from it: start = V(0) a_low and
+    end = V(h) a_low + A(h) a_up.
     """
 
     n: int
     h: float
     d: int
     coeffs: np.ndarray
+    start: np.ndarray | None = None
+    end: np.ndarray | None = None
+    # per derivative order: the sampling table and the scaled stacks
+    _samplers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=float, copy=True)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.shape != (2 * self.n, self.d):
-            raise DomainError(
-                f"coefficient array must have shape {(2 * self.n, self.d)}, got {arr.shape}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        if not (self.h > 0.0) or not np.isfinite(self.h):
+            raise DomainError(f"horizon must be positive and finite, got h={self.h}")
+        n, d = self.n, self.d
+        coeffs = _frozen_stack("coefficient", self.coeffs, (2 * n, d))
+        object.__setattr__(self, "coeffs", coeffs)
+        if (self.start is None) != (self.end is None):
+            raise DomainError("give both endpoint stacks or neither")
+        if self.start is None:
+            from .matrices import build_A, build_V  # matrices imports this module
+
+            # an overflowing stack is refused when it is sampled
+            with np.errstate(over="ignore", invalid="ignore"):
+                low, up = coeffs[:n], coeffs[n:]
+                start = build_V(n, 0.0) @ low
+                end = build_V(n, self.h) @ low + build_A(n, self.h) @ up
+        else:
+            start, end = self.start, self.end
+        object.__setattr__(self, "start", _frozen_stack("start", start, (n, d)))
+        object.__setattr__(self, "end", _frozen_stack("end", end, (n, d)))
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,54 @@ def test_overflow_exits_3_without_numpy_warnings(args, monkeypatch, capsys):
     assert "double precision" in err
 
 
+@pytest.mark.parametrize("route", ["alg51", "kform", "scaled"])
+def test_cost_non_finite_gap_exits_3(route, monkeypatch, capsys):
+    # propagating the start overflows: the gap b is -inf before any route runs
+    doc = {"n": 2, "h": 1, "d": 1, "x": [[1e308], [1e308]], "y": [[0], [0]]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["cost", "--route", route], doc, monkeypatch, capsys)
+    assert (code, out) == (3, "")
+    assert "gap vector b" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("route", ["alg51", "kform", "scaled"])
+def test_cost_document_propagates_start_once(route, monkeypatch, capsys):
+    import msdcost.matrices as mats
+
+    calls = []
+    propagate = mats.taylor_propagate
+
+    def counting(values, h):
+        calls.append(h)
+        return propagate(values, h)
+
+    monkeypatch.setattr(mats, "taylor_propagate", counting)
+    code, out, _ = run_cli(["cost", "--route", route], FREE_FLIGHT, monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(out)["free_flight"] is True
+    assert len(calls) == 1
+
+
+def test_trajectory_sample_overflow_names_time(monkeypatch, capsys):
+    doc = dict(PROBLEM, samples={"k": 0, "times": [0.5, 1e308]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["trajectory"], doc, monkeypatch, capsys)
+    assert (code, out) == (3, "")
+    assert "t=1e+308" in err
+
+
+def test_trajectory_coefficient_overflow_exits_3(monkeypatch, capsys):
+    doc = {"n": 2, "h": 1, "d": 1, "x": [[1e308], [1e308]], "y": [[0], [0]]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["trajectory"], doc, monkeypatch, capsys)
+    assert (code, out) == (3, "")
+    assert "coefficients" in err
+
+
 def test_malformed_json_reports_line(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": 2,\n "h": }'))
     code = main(["cost"])

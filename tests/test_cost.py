@@ -1,4 +1,7 @@
 import math
+import re
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from msdcost import (
     BoundaryState,
     ConsistencyError,
     DomainError,
+    TrajectoryPolynomial,
     build_b,
     cost,
     cost_scaled,
@@ -207,6 +211,145 @@ def test_eval_trajectory_rejects_negative_order():
     poly = solve_trajectory(rest_problem(2))
     with pytest.raises(DomainError):
         eval_trajectory(poly, -1, 0.5)
+
+
+SAMPLER_HORIZONS = (1e-3, 1e-2, 0.37, 1.0, 100.0, 1e3)
+
+
+def horner_reference(poly, k, t):
+    """The former sampler: Horner on the differentiated monomial coefficients."""
+    if k < 0:
+        raise DomainError(f"derivative order must be nonnegative, got k={k}")
+    deg = 2 * poly.n
+    if k >= deg:
+        return np.zeros(poly.d)
+    dcoef = [
+        (math.factorial(i) // math.factorial(i - k)) * poly.coeffs[i]
+        for i in range(k, deg)
+    ]
+    val = dcoef[-1].copy()
+    for row in reversed(dcoef[:-1]):
+        val = val * t + row
+    return val
+
+
+def exact_hermite_coefficients(h, x, y):
+    """Monomial coefficients of the two-point Hermite interpolant, as Fractions.
+
+    x and y are the derivative stacks of one column; the upper block is
+    solved by exact Gauss-Jordan elimination, independent of the package.
+    """
+    n = len(x)
+    hf = Fraction(h)
+    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    low = [xs[j] / math.factorial(j) for j in range(n)]
+    gap = [
+        ys[j] - sum(hf ** (i - j) / math.factorial(i - j) * xs[i] for i in range(j, n))
+        for j in range(n)
+    ]
+    rows = [
+        [Fraction(math.factorial(n + c), math.factorial(n + c - r)) * hf ** (n + c - r)
+         for c in range(n)] + [gap[r]]
+        for r in range(n)
+    ]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [a - f * c for a, c in zip(rows[r], rows[col])]
+    return low + [rows[r][n] / rows[r][r] for r in range(n)]
+
+
+def exact_derivative(coeffs, k, t):
+    tf = Fraction(t)
+    return sum(
+        c * Fraction(math.factorial(i), math.factorial(i - k)) * tf ** (i - k)
+        for i, c in enumerate(coeffs)
+        if i >= k
+    )
+
+
+def test_trajectory_endpoints_are_bit_exact():
+    rng = np.random.default_rng(606)
+    for n in range(1, 13):
+        for h in SAMPLER_HORIZONS:
+            p = make_problem(h, rng.uniform(-5, 5, (n, 2)), rng.uniform(-5, 5, (n, 2)))
+            poly = solve_trajectory(p)
+            for k in range(n):
+                at0 = eval_trajectory(poly, k, 0.0)
+                ath = eval_trajectory(poly, k, h)
+                assert at0.tobytes() == p.start.values[k].tobytes(), (n, h, k)
+                assert ath.tobytes() == p.end.values[k].tobytes(), (n, h, k)
+
+
+def test_trajectory_interior_matches_exact_hermite():
+    # the former Horner sampler was off by up to 2.5e1 here (n = 12, h = 1e3)
+    rng = np.random.default_rng(607)
+    for n in range(1, 13):
+        for h in SAMPLER_HORIZONS:
+            x, y = rng.uniform(-5, 5, (n, 2)), rng.uniform(-5, 5, (n, 2))
+            poly = solve_trajectory(make_problem(h, x, y))
+            exact = [exact_hermite_coefficients(h, x[:, c], y[:, c]) for c in range(2)]
+            for t in (0.3 * h, 0.77 * h):
+                for k in range(n):
+                    got = eval_trajectory(poly, k, t)
+                    for c in range(2):
+                        want = exact_derivative(exact[c], k, t)
+                        err = abs(Fraction(got[c]) - want) / max(1, abs(want))
+                        assert err <= 1e-10, (n, h, t, k, float(err))
+
+
+def test_trajectory_free_flight_upper_derivatives_are_exact_zeros():
+    rng = np.random.default_rng(608)
+    for n in range(1, 13):
+        for h in (1e-2, 0.8, 100.0):
+            x = rng.uniform(-5, 5, (n, 3))
+            y = free_flight_target(n, h, BoundaryState(x)).values
+            poly = solve_trajectory(make_problem(h, x, y))
+            for k in range(n, 2 * n):
+                for t in (0.0, 0.3 * h, h, 1.5 * h):
+                    assert (eval_trajectory(poly, k, t) == 0.0).all(), (n, h, k, t)
+
+
+def test_trajectory_from_coeffs_samples_its_coefficients():
+    # stacks derived from the coefficients; checked against the former
+    # sampler, relative to the sizes of its terms out to the horizon
+    rng = np.random.default_rng(609)
+    for n in range(1, 6):
+        for h in (0.5, 1.0, 2.2):
+            coeffs = rng.uniform(-2, 2, (2 * n, 2))
+            poly = TrajectoryPolynomial(n=n, h=h, d=2, coeffs=coeffs)
+            for t in (0.0, 0.3 * h, 0.77 * h, h, 1.25 * h):
+                reach = max(t, h)
+                for k in range(2 * n + 1):
+                    terms = sum(
+                        math.factorial(i) / math.factorial(i - k)
+                        * np.abs(coeffs[i]) * reach ** (i - k)
+                        for i in range(k, 2 * n)
+                    )
+                    err = np.abs(eval_trajectory(poly, k, t) - horner_reference(poly, k, t))
+                    assert (err <= 1e-11 * (1.0 + terms)).all(), (n, h, t, k)
+
+
+def test_trajectory_polynomial_endpoint_stacks():
+    poly = TrajectoryPolynomial(n=2, h=1.0, d=1, coeffs=[[0.0], [0.0], [3.0], [-2.0]])
+    np.testing.assert_array_equal(poly.start, [[0.0], [0.0]])
+    np.testing.assert_array_equal(poly.end, [[1.0], [0.0]])
+    with pytest.raises(DomainError):
+        TrajectoryPolynomial(n=2, h=1.0, d=1, coeffs=np.zeros((4, 1)), start=np.zeros((2, 1)))
+    with pytest.raises(DomainError):
+        TrajectoryPolynomial(n=2, h=0.0, d=1, coeffs=np.zeros((4, 1)))
+
+
+def test_trajectory_sample_overflow_names_time():
+    poly = solve_trajectory(rest_problem(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e308, -1e308, float("inf"), float("nan")):
+            with pytest.raises(DomainError, match=re.escape(f"t={t}")):
+                eval_trajectory(poly, 0, t)
 
 
 # ----------------------------------------------------------- free flight
