@@ -195,8 +195,12 @@ def _cmd_matrices(args) -> dict:
     requested = args.which or list(_MATRIX_NAMES)
     out = {}
     for name in requested:
-        with np.errstate(over="ignore"):  # an infinite entry is refused by _render
+        with np.errstate(over="ignore"):  # an overflowed entry is refused below
             matrix = builders[name](n, h)
+        if not np.isfinite(matrix).all():
+            raise DomainError(
+                f"matrix {name} at n={n}, h={h} is beyond double precision"
+            )
         out[name] = {
             "rows": matrix.shape[0],
             "cols": matrix.shape[1],

@@ -64,16 +64,15 @@ def form_totals(M: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Quadratic form g^T M g summed over spatial dimensions, per gap.
 
     ``G`` stacks gaps of shape (n, d) along any leading axes; the result
-    has the leading shape.  Each gap goes through the same per-slice
-    matmul and the same accumulation order (rows, then the d columns left
-    to right) whatever the stack, so a batched total is bit-identical to
-    the total of that gap alone.
+    has the leading shape.  Two stacked matmuls do the work: MG = M G,
+    then the dot product of each gap with its MG, both flattened row-major
+    to n*d entries.  Every gap goes through the same per-slice matmuls
+    whatever the stack, so a batched total is bit-identical to the total
+    of that gap alone.
     """
-    per_column = (G * (M @ G)).sum(axis=-2)
-    total = per_column[..., 0]
-    for k in range(1, G.shape[-1]):
-        total = total + per_column[..., k]
-    return total
+    lead, size = G.shape[:-2], G.shape[-2] * G.shape[-1]
+    MG = M @ G
+    return (G.reshape(lead + (1, size)) @ MG.reshape(lead + (size, 1)))[..., 0, 0]
 
 
 def finalize_totals(totals) -> np.ndarray:

@@ -6,6 +6,12 @@ the transport problem reduces to a linear assignment, solved here by
 shortest augmenting paths with a Jonker-Volgenant warm start (O(m^3) in
 the worst case).
 
+A measure is one (m, n, d) array.  The ground cost takes its gaps from
+those arrays a few rows at a time and evaluates them with the same form
+kernel as ``cost()``.  Each scan step of the assignment search is four
+numpy calls over one row; the predecessors along the augmenting path are
+recovered once its end is found, not tracked at every step.
+
 The ground cost is directed: it is not symmetric in its endpoints for
 n >= 2, so w2_uniform(mu, nu) and w2_uniform(nu, mu) generally differ and
 no symmetrization is applied.
@@ -21,6 +27,10 @@ from .types import DiscreteMeasure, DomainError
 
 #: Largest supported measure size for the assignment solver.
 M_MAX = 1024
+
+#: Rows of the ground cost filled per form-kernel call: large enough to
+#: spread the per-call overhead, small enough to keep the gap block in cache.
+_ROW_BLOCK = 8
 
 
 def _check_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
@@ -40,8 +50,8 @@ def ground_cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, h: float) -> np
     Entries reproduce ``cost(make_problem(h, mu_i, nu_j)).total`` bit for
     bit: they go through the same form kernel and finalize rule as
     ``cost()``.  All starts are propagated in one call, and the matrix is
-    filled one row block at a time (the gaps of one mu point to every nu
-    point), so no (m, m, n, d) temporary is built.
+    filled a block of ``_ROW_BLOCK`` rows at a time (the gaps of those mu
+    points to every nu point), so no (m, m, n, d) temporary is built.
     """
     _check_pair(mu, nu)
     n = mu.n
@@ -49,10 +59,11 @@ def ground_cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, h: float) -> np
     # an overflow shows as a non-finite entry, which finalize_totals refuses
     with np.errstate(over="ignore", invalid="ignore"):
         form = build_B(n, h) @ build_A_inv(n, h)
-        propagated = taylor_propagate(np.stack([p.values for p in mu.points]), h)
-        ends = np.stack([p.values for p in nu.points])
-        for i in range(mu.m):
-            out[i] = form_totals(form, ends - propagated[i])
+        propagated = taylor_propagate(mu.values, h)
+        ends = nu.values
+        for lo in range(0, mu.m, _ROW_BLOCK):
+            block = slice(lo, lo + _ROW_BLOCK)
+            out[block] = form_totals(form, ends - propagated[block, None])
     return finalize_totals(out)
 
 
@@ -87,10 +98,10 @@ def solve_assignment(costs: np.ndarray) -> np.ndarray:
 
 def _augmenting_paths(c: np.ndarray) -> np.ndarray:
     m = c.shape[0]
-    col_of_row = np.full(m, -1, dtype=int)
-    row_of_col = np.full(m, -1, dtype=int)
+    col_of_row = [-1] * m
+    row_of_col = [-1] * m
     if m == 0:
-        return col_of_row
+        return np.array(col_of_row, dtype=int)
 
     # Column reduction, in forward column order: the lowest column wins.
     v = c.min(axis=0)
@@ -101,30 +112,31 @@ def _augmenting_paths(c: np.ndarray) -> np.ndarray:
 
     # Reduction transfer: u_i becomes the second smallest c[i, j] - v[j].
     if m > 1:
-        assigned = np.flatnonzero(col_of_row >= 0)
+        assigned = [i for i in range(m) if col_of_row[i] >= 0]
+        cols = [col_of_row[i] for i in assigned]
         reduced = c[assigned] - v
-        reduced[np.arange(len(assigned)), col_of_row[assigned]] = np.inf
-        v[col_of_row[assigned]] -= reduced.min(axis=1)
+        reduced[np.arange(len(assigned)), cols] = np.inf
+        v[cols] -= reduced.min(axis=1)
 
     # One Dijkstra search per free row.  `dist` holds tentative path
     # lengths, inf once a column is scanned; `v_open` is v with scanned
-    # columns at -inf, so their trial lengths are +inf and the strict
-    # comparison never reopens them.
+    # columns at -inf, so their trial lengths are +inf and never reopen
+    # them.  Each source row (the free row, then each scanned row) offers
+    # column k the length (c[row, k] - v[k]) + off_row.
     dist = np.empty(m)
     v_open = np.empty(m)
     trial = np.empty(m)
-    shorter = np.empty(m, dtype=bool)
-    pred = np.empty(m, dtype=int)
-    for free_row in np.flatnonzero(col_of_row < 0).tolist():
+    for free_row in [i for i in range(m) if col_of_row[i] < 0]:
         np.subtract(c[free_row], v, out=dist)
         np.copyto(v_open, v)
-        pred.fill(free_row)
+        sources = [free_row]
+        offsets = [0.0]
         scanned = []
         scanned_dist = []
         while True:
             j = int(dist.argmin())
-            lowest = dist[j]
-            row = int(row_of_col[j])
+            lowest = dist.item(j)
+            row = row_of_col[j]
             if row < 0:
                 break
             scanned.append(j)
@@ -132,19 +144,34 @@ def _augmenting_paths(c: np.ndarray) -> np.ndarray:
             dist[j] = np.inf
             v_open[j] = -np.inf
             # Relax through `row`: lowest + c[row, k] - v[k] - u_row.
+            off = lowest - (c.item(row, j) - v.item(j))
             np.subtract(c[row], v_open, out=trial)
-            trial += lowest - (c[row, j] - v[j])
-            np.less(trial, dist, out=shorter)
-            np.copyto(dist, trial, where=shorter)
-            np.copyto(pred, row, where=shorter)
-        v[scanned] += np.array(scanned_dist) - lowest
+            trial += off
+            np.minimum(dist, trial, out=dist)
+            sources.append(row)
+            offsets.append(off)
+        # The predecessor of a path column is the first source, in scan
+        # order, whose offer equals the column's final length: the same
+        # float expression, so equality is exact and ties go to the
+        # earliest source, as a strict-< relaxation would give them.  Only
+        # the free row and the rows scanned before the column offered it
+        # anything, so `final` keeps their count beside the length.
+        final = {
+            k: (t + 1, length) for t, (k, length) in enumerate(zip(scanned, scanned_dist))
+        }
+        final[j] = (len(sources), lowest)
+        source_rows = np.array(sources)
+        source_offsets = np.array(offsets)
         while True:
-            i = int(pred[j])
+            count, length = final[j]
+            offers = (c[source_rows[:count], j] - v[j]) + source_offsets[:count]
+            i = sources[int((offers == length).argmax())]
             row_of_col[j] = i
             col_of_row[i], j = j, col_of_row[i]
             if i == free_row:
                 break
-    return col_of_row
+        v[scanned] += np.array(scanned_dist) - lowest
+    return np.array(col_of_row, dtype=int)
 
 
 def w2_uniform(

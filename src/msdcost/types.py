@@ -7,7 +7,7 @@ array whose row k holds the k-th derivative of the curve at that endpoint
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,6 +22,22 @@ class SingularMatrixError(DomainError):
 
 class ConsistencyError(ArithmeticError):
     """A quantity violated an identity far beyond rounding noise."""
+
+
+def _value_eq(self, other) -> bool:
+    """Field-by-field equality that compares array fields with ``np.array_equal``.
+
+    Fields declared with ``compare=False`` (memo caches) are left out.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for f in fields(self):
+        if not f.compare:
+            continue
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+            return False
+    return True
 
 
 def _as_state_array(values) -> np.ndarray:
@@ -46,6 +62,8 @@ class BoundaryState:
 
     values: np.ndarray
 
+    __eq__ = _value_eq
+
     def __post_init__(self):
         object.__setattr__(self, "values", _as_state_array(self.values))
 
@@ -67,6 +85,8 @@ class CostProblem:
     d: int
     start: BoundaryState
     end: BoundaryState
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         if self.start.n != self.n or self.end.n != self.n:
@@ -127,6 +147,8 @@ class TrajectoryPolynomial:
     # per derivative order: the sampling table and the scaled stacks
     _samplers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    __eq__ = _value_eq
+
     def __post_init__(self):
         if not (self.h > 0.0) or not np.isfinite(self.h):
             raise DomainError(f"horizon must be positive and finite, got h={self.h}")
@@ -163,14 +185,23 @@ class CostBreakdown:
     clamped: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DiscreteMeasure:
-    """Uniformly weighted point set in boundary-state space (weights 1/m)."""
+    """Uniformly weighted point set in boundary-state space (weights 1/m).
 
-    points: tuple[BoundaryState, ...]
+    ``values`` is one read-only (m, n, d) array: ``values[k]`` is the
+    derivative stack of point k.  ``DiscreteMeasure(points)`` stacks a
+    sequence of BoundaryState; ``from_array`` takes the array directly and
+    builds no BoundaryState.  ``points`` gives the BoundaryState view,
+    built on each access.
+    """
 
-    def __post_init__(self):
-        pts = tuple(self.points)
+    values: np.ndarray
+
+    __eq__ = _value_eq
+
+    def __init__(self, points):
+        pts = tuple(points)
         if not pts:
             raise DomainError("a discrete measure needs at least one point")
         n, d = pts[0].n, pts[0].d
@@ -179,26 +210,46 @@ class DiscreteMeasure:
                 raise DomainError(
                     f"measure point {k} has shape {(p.n, p.d)}, expected {(n, d)}"
                 )
-        object.__setattr__(self, "points", pts)
+        values = np.stack([p.values for p in pts])
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def points(self) -> tuple[BoundaryState, ...]:
+        return tuple(BoundaryState(v) for v in self.values)
 
     @property
     def m(self) -> int:
-        return len(self.points)
+        return self.values.shape[0]
 
     @property
     def n(self) -> int:
-        return self.points[0].n
+        return self.values.shape[1]
 
     @property
     def d(self) -> int:
-        return self.points[0].d
+        return self.values.shape[2]
 
     @classmethod
     def from_array(cls, arr) -> "DiscreteMeasure":
-        """Build from an (m, n, d) array (or (m, n), promoted to d=1)."""
-        a = np.asarray(arr, dtype=float)
+        """Build from an (m, n, d) array (or (m, n), promoted to d=1).
+
+        The values are copied, checked once and frozen.
+        """
+        a = np.array(arr, dtype=float, copy=True)
         if a.ndim == 2:
             a = a[:, :, None]
         if a.ndim != 3:
             raise DomainError(f"expected an (m, n, d) array, got shape {a.shape}")
-        return cls(tuple(BoundaryState(a[k]) for k in range(a.shape[0])))
+        if a.shape[0] < 1:
+            raise DomainError("a discrete measure needs at least one point")
+        if a.shape[1] < 1 or a.shape[2] < 1:
+            raise DomainError(
+                f"boundary values must be an (n, d) array, got shape {a.shape[1:]}"
+            )
+        if not np.isfinite(a).all():
+            raise DomainError("boundary values must be finite")
+        a.setflags(write=False)
+        measure = cls.__new__(cls)
+        object.__setattr__(measure, "values", a)
+        return measure

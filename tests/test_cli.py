@@ -294,6 +294,20 @@ def test_matrices_domain_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "args, name", [(["12", "1e30", "--which", "K"], "K"), (["12", "1e-30"], "L")]
+)
+def test_matrices_overflow_names_the_matrix(args, name, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["matrices", *args])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert f"matrix {name} at n=12, h={float(args[1])}" in err
+    assert "double precision" in err
+    assert "Traceback" not in err
+
+
 # -------------------------------------------------------------- transport
 
 

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from msdcost import (
     N_MAX,
     BoundaryState,
+    DiscreteMeasure,
     DomainError,
+    TrajectoryPolynomial,
     build_A,
     build_A_inv,
     build_B,
@@ -22,7 +24,9 @@ from msdcost import (
     build_b,
     det_A,
     h_power_table,
+    eval_trajectory,
     make_problem,
+    solve_trajectory,
     taylor_propagate,
 )
 from msdcost.matrices import _a_inv_coefficients, _check_horizon, _check_order
@@ -316,6 +320,34 @@ def test_boundary_state_validation():
         BoundaryState(np.zeros((0, 1)))
     state = BoundaryState([1.0, 2.0, 3.0])
     assert state.n == 3 and state.d == 1
+
+
+def test_value_types_compare_by_value():
+    # equal but distinct arrays: == answers by value instead of raising
+    x, y = [[1.0, 2.0], [0.5, -1.0]], [[3.0, 0.0], [1.0, 1.0]]
+    z = [[3.0, 0.0], [1.0, 1.5]]  # y with one entry changed
+    sampled = solve_trajectory(make_problem(0.5, x, y))
+    eval_trajectory(sampled, 1, 0.25)  # fills the sampler memo, which is not compared
+    cases = [
+        (BoundaryState(x), BoundaryState(np.array(x)), BoundaryState(z)),
+        (make_problem(0.5, x, y), make_problem(0.5, x, y), make_problem(0.5, x, z)),
+        (make_problem(0.5, x, y), make_problem(0.5, x, y), make_problem(0.6, x, y)),
+        (
+            TrajectoryPolynomial(n=1, h=2.0, d=2, coeffs=[x[0], y[0]]),
+            TrajectoryPolynomial(n=1, h=2.0, d=2, coeffs=np.array([x[0], y[0]])),
+            TrajectoryPolynomial(n=1, h=2.0, d=2, coeffs=[x[0], z[1]]),
+        ),
+        (sampled, solve_trajectory(make_problem(0.5, x, y)), solve_trajectory(make_problem(0.5, x, z))),
+        (
+            DiscreteMeasure.from_array([x, y]),
+            DiscreteMeasure((BoundaryState(x), BoundaryState(y))),
+            DiscreteMeasure.from_array([x, z]),
+        ),
+    ]
+    for value, equal, changed in cases:
+        assert value == equal and not value != equal
+        assert value != changed and not value == changed
+    assert BoundaryState(x) != make_problem(0.5, x, y)
 
 
 # ------------------------------------------- loop references for the tables

@@ -16,7 +16,7 @@ from msdcost import (
     solve_assignment,
     w2_uniform,
 )
-from msdcost.transport import M_MAX
+from msdcost.transport import _ROW_BLOCK, M_MAX
 
 
 def rest_measure(positions, n):
@@ -80,6 +80,75 @@ def hungarian_reference(costs: np.ndarray) -> np.ndarray:
     return assignment
 
 
+def sap_reference(c: np.ndarray) -> np.ndarray:
+    """Shortest augmenting paths with a per-step predecessor array.
+
+    The body of ``solve_assignment`` before its scan step was cut to four
+    ufuncs (predecessors now recovered once the sink is found), kept
+    unchanged as the reference the rewrite must reproduce exactly, ties
+    included.
+    """
+    m = c.shape[0]
+    col_of_row = np.full(m, -1, dtype=int)
+    row_of_col = np.full(m, -1, dtype=int)
+    if m == 0:
+        return col_of_row
+
+    # Column reduction, in forward column order: the lowest column wins.
+    v = c.min(axis=0)
+    for j, i in enumerate(c.argmin(axis=0).tolist()):
+        if col_of_row[i] < 0:
+            col_of_row[i] = j
+            row_of_col[j] = i
+
+    # Reduction transfer: u_i becomes the second smallest c[i, j] - v[j].
+    if m > 1:
+        assigned = np.flatnonzero(col_of_row >= 0)
+        reduced = c[assigned] - v
+        reduced[np.arange(len(assigned)), col_of_row[assigned]] = np.inf
+        v[col_of_row[assigned]] -= reduced.min(axis=1)
+
+    # One Dijkstra search per free row.  `dist` holds tentative path
+    # lengths, inf once a column is scanned; `v_open` is v with scanned
+    # columns at -inf, so their trial lengths are +inf and the strict
+    # comparison never reopens them.
+    dist = np.empty(m)
+    v_open = np.empty(m)
+    trial = np.empty(m)
+    shorter = np.empty(m, dtype=bool)
+    pred = np.empty(m, dtype=int)
+    for free_row in np.flatnonzero(col_of_row < 0).tolist():
+        np.subtract(c[free_row], v, out=dist)
+        np.copyto(v_open, v)
+        pred.fill(free_row)
+        scanned = []
+        scanned_dist = []
+        while True:
+            j = int(dist.argmin())
+            lowest = dist[j]
+            row = int(row_of_col[j])
+            if row < 0:
+                break
+            scanned.append(j)
+            scanned_dist.append(lowest)
+            dist[j] = np.inf
+            v_open[j] = -np.inf
+            # Relax through `row`: lowest + c[row, k] - v[k] - u_row.
+            np.subtract(c[row], v_open, out=trial)
+            trial += lowest - (c[row, j] - v[j])
+            np.less(trial, dist, out=shorter)
+            np.copyto(dist, trial, where=shorter)
+            np.copyto(pred, row, where=shorter)
+        v[scanned] += np.array(scanned_dist) - lowest
+        while True:
+            i = int(pred[j])
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if i == free_row:
+                break
+    return col_of_row
+
+
 # ------------------------------------------------------------ ground cost
 
 
@@ -132,6 +201,23 @@ def test_ground_cost_matches_cost_bitwise_grid(n, d, h):
         for j in range(4):
             direct = cost(make_problem(h, mu.points[i].values, nu.points[j].values)).total
             assert costs[i, j] == direct
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [11, 17])
+def test_ground_cost_matches_cost_bitwise_across_row_blocks(m, d):
+    # m is not a multiple of the row block, so the last block is short
+    assert m % _ROW_BLOCK
+    rng = np.random.default_rng(100 * m + d)
+    for n in range(1, 13):
+        h = (1e-2, 0.8, 1.0, 100.0)[n % 4]
+        mu = DiscreteMeasure.from_array(rng.uniform(-3, 3, (m, n, d)))
+        nu = DiscreteMeasure.from_array(rng.uniform(-3, 3, (m, n, d)))
+        costs = ground_cost_matrix(mu, nu, h)
+        for i in range(m):
+            for j in range(m):
+                direct = cost(make_problem(h, mu.values[i], nu.values[j])).total
+                assert costs[i, j] == direct, (n, i, j)
 
 
 def test_ground_cost_shape_errors():
@@ -195,6 +281,28 @@ def test_solve_assignment_matches_hungarian_reference():
         total = costs[np.arange(m), assignment].sum()
         expected = costs[np.arange(m), hungarian_reference(costs)].sum()
         assert total == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def _sap_pin_cases():
+    rng = np.random.default_rng(303)
+    for m in range(1, 41):
+        for _ in range(3):
+            yield np.round(rng.uniform(0.0, 4.0, (m, m)), 1)  # coarse grid forces ties
+        yield np.full((m, m), 2.5)
+    for m in (1, 2, 5, 16, 64):
+        for scale in (1e-3, 1e-1, 1e1, 1e3):
+            yield rng.uniform(0.0, scale, (m, m))
+    for m in (64, 256):
+        for h in (0.3, 1.0):
+            mu = DiscreteMeasure.from_array(rng.standard_normal((m, 3, 2)))
+            nu = DiscreteMeasure.from_array(rng.standard_normal((m, 3, 2)))
+            yield ground_cost_matrix(mu, nu, h)
+
+
+def test_solve_assignment_matches_sap_reference_exactly():
+    # the same assignment, ties included, not just the same optimal total
+    for costs in _sap_pin_cases():
+        np.testing.assert_array_equal(solve_assignment(costs), sap_reference(costs))
 
 
 @pytest.mark.parametrize(
@@ -285,11 +393,56 @@ def test_w2_size_cap():
         w2_uniform(big, big, 1.0)
 
 
+@pytest.mark.parametrize("h", [1e-2, 1.0, 100.0])
+def test_w2_matches_monotone_matching_at_m_max(h):
+    # n = d = 1: the ground cost is (y - x)**2 / h, so the sorted (monotone)
+    # matching is optimal; an exact oracle at a size brute force cannot reach
+    rng = np.random.default_rng(404)
+    x = rng.standard_normal(M_MAX)
+    y = rng.uniform(-2.0, 2.0, M_MAX)
+    value, assignment = w2_uniform(
+        DiscreteMeasure.from_array(x[:, None]), DiscreteMeasure.from_array(y[:, None]), h
+    )
+    assert sorted(assignment.tolist()) == list(range(M_MAX))
+    oracle = float(((np.sort(y) - np.sort(x)) ** 2).sum()) / h / M_MAX
+    assert abs(value - oracle) <= 1e-12 * oracle
+
+
 def test_measure_validation():
     with pytest.raises(DomainError):
         DiscreteMeasure(())
     with pytest.raises(DomainError):
         DiscreteMeasure((BoundaryState([0.0]), BoundaryState([0.0, 1.0])))
+
+
+def test_measure_from_array_validation():
+    with pytest.raises(DomainError, match="finite"):
+        DiscreteMeasure.from_array(np.array([[[0.0], [np.nan]]]))
+    with pytest.raises(DomainError, match="finite"):
+        DiscreteMeasure.from_array(np.array([[0.0, np.inf]]))
+    with pytest.raises(DomainError, match="at least one point"):
+        DiscreteMeasure.from_array(np.zeros((0, 2, 1)))
+    with pytest.raises(DomainError, match="shape"):
+        DiscreteMeasure.from_array(np.zeros((3, 0, 1)))
+    with pytest.raises(DomainError, match="shape"):
+        DiscreteMeasure.from_array(np.zeros(4))
+    with pytest.raises(DomainError, match="shape"):
+        DiscreteMeasure.from_array(np.zeros((2, 2, 1, 1)))
+
+
+def test_measure_values_and_points_round_trip():
+    rng = np.random.default_rng(505)
+    arr = rng.standard_normal((5, 3, 2))
+    mu = DiscreteMeasure.from_array(arr)
+    assert (mu.m, mu.n, mu.d) == (5, 3, 2)
+    arr[0, 0, 0] = 99.0  # the measure holds its own read-only copy
+    assert mu.values[0, 0, 0] != 99.0 and not mu.values.flags.writeable
+    points = mu.points
+    assert all(isinstance(p, BoundaryState) for p in points)
+    np.testing.assert_array_equal(np.stack([p.values for p in points]), mu.values)
+    np.testing.assert_array_equal(DiscreteMeasure(points).values, mu.values)
+    promoted = DiscreteMeasure.from_array(arr[:, :, 0])
+    assert promoted.values.shape == (5, 3, 1)
 
 
 # ------------------------------------------------------------- properties
