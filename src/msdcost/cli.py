@@ -30,12 +30,17 @@ from .cost import (
     gap_is_free_flight,
     solve_trajectory,
 )
-from .selftest import render_report, run_selftest
+from .selftest import environment, render_report, run_selftest
 from .transport import w2_uniform
 from .types import CostProblem, DiscreteMeasure, DomainError, make_problem
 
 _ROUTE_FLAGS = {"alg51": "algorithm51", "kform": "kform", "scaled": "scaled"}
 _MATRIX_NAMES = ("A", "B", "V", "L", "U", "Linv", "Uinv", "Ainv", "K")
+
+#: Most samples one trajectory document may ask for, by ``samples.count``
+#: or ``samples.times``; a larger request is refused before any sample
+#: time is built.
+MAX_SAMPLES = 10**6
 
 
 class SchemaError(ValueError):
@@ -147,6 +152,7 @@ def _parse_samples(doc, h: float) -> tuple[int, list[float]]:
         raise SchemaError("give either 'samples.count' or 'samples.times', not both")
     if has_times:
         raw = _get(samples, "times", list)
+        _check_sample_count("samples.times", len(raw))
         times = []
         for idx, value in enumerate(raw):
             if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -156,7 +162,15 @@ def _parse_samples(doc, h: float) -> tuple[int, list[float]]:
     count = _get(samples, "count", int, required=False, default=11)
     if count < 1:
         raise DomainError(f"field 'samples.count' must be at least 1, got {count}")
+    _check_sample_count("samples.count", count)
     return k, np.linspace(0.0, h, count).tolist()
+
+
+def _check_sample_count(field: str, count: int) -> None:
+    if count > MAX_SAMPLES:
+        raise DomainError(
+            f"field {field!r} asks for {count} samples, above the cap of {MAX_SAMPLES}"
+        )
 
 
 def _cmd_trajectory(args) -> dict:
@@ -240,6 +254,7 @@ def _cmd_selftest(args) -> int:
                 {"name": r.name, "error": r.error, "tol": r.tol, "ok": r.ok}
                 for r in results
             ],
+            "environment": environment(),
         }
         print(json.dumps(payload))
     else:

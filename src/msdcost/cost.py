@@ -36,8 +36,8 @@ from .matrices import (
     _check_order,
     _powers,
     build_A_inv,
-    build_B,
     build_b,
+    form_matrix,
     h_power_table,
     taylor_propagate,
 )
@@ -135,25 +135,25 @@ def _scaled_total(n: int, h: float, b: np.ndarray) -> float:
     p = h_power_table(n, h)
     row_scale = np.array([p[i] for i in range(n)])[:, None]
     b_tilde = b * row_scale
-    M1 = build_B(n, 1.0) @ build_A_inv(n, 1.0)
-    return p[1 - 2 * n] * form_totals(M1, b_tilde)
+    return p[1 - 2 * n] * form_totals(form_matrix(n, 1.0), b_tilde)
 
 
 def cost(problem: CostProblem, route: str = "algorithm51") -> CostBreakdown:
     """Minimum integrated squared n-th derivative between the two endpoints.
 
     Deterministic for fixed inputs; all routes share the same gap vector b.
+    The problem has already checked its horizon; its order is checked
+    here, because ``CostProblem`` does not bound it.
     """
     n = _check_order(problem.n)
-    h = _check_horizon(problem.h)
+    h = problem.h
     # an overflow shows as a non-finite total, which finalize_totals refuses
     with np.errstate(over="ignore", invalid="ignore"):
         b = build_b(problem)
         if not np.isfinite(b).all():
             raise DomainError("gap vector b is beyond double precision")
         if route == "algorithm51":
-            M = build_B(n, h) @ build_A_inv(n, h)
-            total = form_totals(M, b)
+            total = form_totals(form_matrix(n, h), b)
         elif route == "kform":
             total = _kform_total(n, h, b)
         elif route == "scaled":
@@ -176,8 +176,8 @@ def cost_scaled(problem: CostProblem) -> float:
 
 
 def hessian(n: int, h: float) -> np.ndarray:
-    """Symmetric positive-definite matrix H of the cost form b^T H b."""
-    M = build_B(n, h) @ build_A_inv(n, h)
+    """Symmetric positive-definite matrix H of the cost form b^T H b (a fresh array)."""
+    M = form_matrix(n, h)
     return 0.5 * (M + M.T)
 
 

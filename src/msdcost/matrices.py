@@ -26,6 +26,10 @@ cached.  A call multiplies them by powers of h from one helper that forms
 every power by repeated multiplication, so equal powers are bit-identical
 across builders, and writes only the assigned entries: structural zeros
 stay bit zero even when a power overflows.
+
+The cost form B(h) A(h)^-1 (``form_matrix``) and the Taylor propagation
+table are cached per (n, h) in bounded LRU caches, read-only, so a
+horizon used again costs a lookup instead of a rebuild.
 """
 
 from __future__ import annotations
@@ -44,6 +48,10 @@ from .types import CostProblem, DomainError
 #: conditioning of A stay comfortably inside double precision up to here;
 #: raise it at your own risk.
 N_MAX = 12
+
+#: Entries kept by each per-(n, h) cache (the form matrix and the
+#: propagation table): under 1 MB in all at n = N_MAX.
+_HORIZON_CACHE_SIZE = 256
 
 
 def _check_order(n: int) -> int:
@@ -142,6 +150,41 @@ def build_B(n: int, h: float) -> np.ndarray:
     return _tabulate(_b_entry, n, h)
 
 
+@lru_cache(maxsize=N_MAX)
+def _shift_pattern(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather index, coefficient slots and divisors of the propagation terms.
+
+    The gather index (n + 1, n) reads a stack padded by n zero rows.  Row 0
+    gathers a zero row for every k: the zero each sum starts from.  Row
+    s + 1 gathers values[k + s] into column k, a zero row where k + s >= n.
+    Each term takes its coefficient from slot s + 1 of [0, h**0/0!, ...,
+    h**(n-1)/(n-1)!], and a term that gathers a zero row from slot 0; the
+    divisors are [1, 0!, ..., (n-1)!].
+    """
+    s, k = np.indices((n, n))
+    gather = np.vstack([np.full((1, n), n), k + s])
+    slot = np.where(gather < n, np.arange(n + 1)[:, None], 0)[..., None]
+    divisors = np.array([1] + [math.factorial(j) for j in range(n)], dtype=float)
+    for table in (gather, slot, divisors):
+        table.setflags(write=False)
+    return gather, slot, divisors
+
+
+@lru_cache(maxsize=_HORIZON_CACHE_SIZE)
+def _propagation_table(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index and the coefficient of each gathered term, read-only.
+
+    The horizon is checked here, on a miss only; an invalid h raises and
+    is never cached.
+    """
+    h = _check_horizon(h)
+    gather, slot, divisors = _shift_pattern(n)
+    powers = np.array([0.0] + _powers(h, 0, n - 1)[:n])  # n = 0 still gives h**0
+    coef = (powers / divisors)[slot]
+    coef.setflags(write=False)
+    return gather, coef
+
+
 def taylor_propagate(values: np.ndarray, h: float) -> np.ndarray:
     """Propagate a derivative stack forward by time h under zero n-th derivative.
 
@@ -149,21 +192,26 @@ def taylor_propagate(values: np.ndarray, h: float) -> np.ndarray:
     free-flight end state of a start stack ``values``.  Accepts an (n,)
     or (n, d) stack, or stacks of them (..., n, d) propagated along axis
     -2 in one pass; each stack's result is bit-identical to propagating
-    it alone.  Row k accumulates its terms in increasing j from zero, one
-    shifted multiply-add per power.
+    it alone.
+
+    One gather from the stack padded with n zero rows lays out every
+    term: an exact +0.0, then values[k + s] times h**s/s! for s = 0..n-1,
+    with exact zeros where k + s >= n.  The gather index and coefficients
+    are cached per (n, h).  ``np.add.accumulate`` adds the terms strictly
+    in order, so row k is the sum of its terms in increasing j, starting
+    from zero, and the zeros past the end change no bit.  The result is
+    C order: a strided stack would change the bits of a later matmul.
     """
     values = np.asarray(values, dtype=float)
     stack = values[:, None] if values.ndim == 1 else values
-    rows = stack.swapaxes(0, -2)
-    n = rows.shape[0]
-    h = _check_horizon(h)
-    c = [p / math.factorial(s) for s, p in enumerate(_powers(h, 0, n - 1))]
-    out = np.zeros(stack.shape)  # C order in the caller's layout
-    acc = out.swapaxes(0, -2)
-    for s in range(n):
-        head = acc[: n - s]  # a view: the in-place add needs no write-back
-        head += c[s] * rows[s:]
-    return out.reshape(values.shape)
+    *lead, n, d = stack.shape
+    gather, coef = _propagation_table(n, h)
+    padded = np.zeros((*lead, 2 * n, d))
+    padded[..., :n, :] = stack
+    terms = padded[..., gather, :]  # (..., term, k, d)
+    terms *= coef
+    sums = np.add.accumulate(terms, axis=-3)[..., -1, :, :]
+    return np.ascontiguousarray(sums).reshape(values.shape)
 
 
 def build_b(problem: CostProblem) -> np.ndarray:
@@ -245,6 +293,22 @@ def _a_inv_entry(n, i, j):
 def build_A_inv(n: int, h: float) -> np.ndarray:
     """Inverse of A as the product U^-1 L^-1 (exact rational coefficients)."""
     return _tabulate(_a_inv_entry, n, h)
+
+
+@lru_cache(maxsize=_HORIZON_CACHE_SIZE)
+def form_matrix(n: int, h: float) -> np.ndarray:
+    """The cost form B(h) @ A(h)^-1, read-only and cached per (n, h).
+
+    The cost of a gap b is sum_k b_k^T M b_k over its columns.  Every
+    caller of the product goes through here, so a horizon used again
+    costs one cache lookup.  The order and horizon are checked on a miss;
+    an invalid pair raises and is never cached.  At most
+    ``_HORIZON_CACHE_SIZE`` (n, h) pairs are kept, least recently used
+    first out.
+    """
+    M = build_B(n, h) @ build_A_inv(n, h)
+    M.setflags(write=False)
+    return M
 
 
 def _k_entry(n, i, j):

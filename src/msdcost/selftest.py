@@ -10,7 +10,10 @@ the failure path itself can be exercised.
 
 from __future__ import annotations
 
+import os
+import platform
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -254,6 +257,42 @@ def run_selftest(inject_failure: str | None = None) -> list[CheckResult]:
             for r in results
         ]
     return results
+
+
+def git_sha(start: Path) -> str | None:
+    """Commit checked out in the nearest ``.git`` directory above ``start``.
+
+    Read from ``HEAD`` and the loose or packed ref it names, without
+    running git.  None when there is no such directory or it cannot be
+    read.
+    """
+    checkouts = (p / ".git" for p in (start, *start.parents))
+    git = next((g for g in checkouts if g.is_dir()), None)
+    if git is None:
+        return None
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[5:]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return None
+
+
+def environment() -> dict:
+    """Python and numpy versions, CPU count and the git commit of this source."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "git_sha": git_sha(Path(__file__).resolve().parent),
+    }
 
 
 def render_report(results: list[CheckResult]) -> str:

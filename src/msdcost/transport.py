@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cost import finalize_totals, form_totals
-from .matrices import build_A_inv, build_B, taylor_propagate
+from .matrices import form_matrix, taylor_propagate
 from .types import DiscreteMeasure, DomainError
 
 #: Largest supported measure size for the assignment solver.
@@ -58,7 +58,7 @@ def ground_cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, h: float) -> np
     out = np.empty((mu.m, nu.m))
     # an overflow shows as a non-finite entry, which finalize_totals refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        form = build_B(n, h) @ build_A_inv(n, h)
+        form = form_matrix(n, h)
         propagated = taylor_propagate(mu.values, h)
         ends = nu.values
         for lo in range(0, mu.m, _ROW_BLOCK):

@@ -7,6 +7,7 @@ array whose row k holds the k-th derivative of the curve at that endpoint
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -99,7 +100,7 @@ class CostProblem:
                 f"endpoint dimension mismatch: d={self.d}, start has {self.start.d},"
                 f" end has {self.end.d}"
             )
-        if not (self.h > 0.0) or not np.isfinite(self.h):
+        if not (self.h > 0.0) or not math.isfinite(self.h):
             raise DomainError(f"horizon must be positive and finite, got h={self.h}")
 
 

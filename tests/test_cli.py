@@ -8,8 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
+import msdcost
 from msdcost import TrajectoryPolynomial, quadrature_cost
+from msdcost import cli as cli_module
 from msdcost.cli import build_parser, main
+from msdcost.selftest import git_sha
 
 PROBLEM = {"n": 2, "h": 1.0, "d": 1, "x": [[0.0], [0.0]], "y": [[1.0], [0.0]]}
 FREE_FLIGHT = {"n": 2, "h": 1.0, "d": 1, "x": [[0.0], [1.0]], "y": [[1.0], [1.0]]}
@@ -232,6 +235,33 @@ def test_trajectory_rejects_count_and_times(monkeypatch, capsys):
     assert out == ""
 
 
+def test_trajectory_count_above_cap_exits_3_before_allocating(monkeypatch, capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the sample grid was built")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    cap = cli_module.MAX_SAMPLES
+    doc = dict(PROBLEM, samples={"k": 0, "count": cap + 1})
+    code, out, err = run_cli(["trajectory"], doc, monkeypatch, capsys)
+    assert (code, out) == (3, "")
+    assert "'samples.count'" in err and str(cap) in err
+
+
+@pytest.mark.parametrize("field", ["count", "times"])
+def test_trajectory_sample_cap_is_inclusive(field, monkeypatch, capsys):
+    monkeypatch.setattr(cli_module, "MAX_SAMPLES", 4)
+    for size, want in ((4, 0), (5, 3)):
+        request = size if field == "count" else [0.25 * i for i in range(size)]
+        doc = dict(PROBLEM, samples={"k": 0, field: request})
+        code, out, err = run_cli(["trajectory"], doc, monkeypatch, capsys)
+        assert code == want
+        if want:
+            assert out == ""
+            assert f"'samples.{field}'" in err and "cap of 4" in err
+        else:
+            assert len(json.loads(out)["values"]) == 4
+
+
 def test_trajectory_roundtrip_reproduces_cost(monkeypatch, capsys):
     code, out, _ = run_cli(["cost"], PROBLEM, monkeypatch, capsys)
     reported = json.loads(out)["cost"]
@@ -391,6 +421,35 @@ def test_selftest_unknown_injection(capsys):
     assert "nope" in err
 
 
+def test_selftest_json_reports_environment(capsys):
+    assert main(["selftest", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"ok", "checks", "environment"}
+    env = payload["environment"]
+    assert set(env) == {"python", "numpy", "cpu_count", "git_sha"}
+    assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert env["numpy"] == np.__version__
+    assert env["cpu_count"] == os.cpu_count()
+    sha = env["git_sha"]
+    assert sha is None or (len(sha) == 40 and int(sha, 16) >= 0)
+
+
+def test_git_sha_reads_head_without_git(tmp_path):
+    sha = "0123456789abcdef0123456789abcdef01234567"
+    inner = tmp_path / "src" / "pkg"
+    inner.mkdir(parents=True)
+    assert git_sha(inner) is None  # no checkout above
+    git = tmp_path / ".git"
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    (git / "packed-refs").write_text(f"# pack-refs\n{sha} refs/heads/main\n")
+    assert git_sha(inner) == sha  # packed ref
+    (git / "refs" / "heads" / "main").write_text(sha[::-1] + "\n")
+    assert git_sha(inner) == sha[::-1]  # a loose ref wins
+    (git / "HEAD").write_text(sha + "\n")
+    assert git_sha(inner) == sha  # detached HEAD
+
+
 # ----------------------------------------------------------- subprocess
 
 
@@ -419,3 +478,22 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == ""
+
+
+def test_import_leaves_scipy_unloaded():
+    # importing scipy would add over half a second to every fresh process
+    src = os.path.dirname(os.path.dirname(msdcost.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, msdcost; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
