@@ -35,7 +35,6 @@ from .transport import w2_uniform
 from .types import CostProblem, DiscreteMeasure, DomainError, make_problem
 
 _ROUTE_FLAGS = {"alg51": "algorithm51", "kform": "kform", "scaled": "scaled"}
-_MATRIX_NAMES = ("A", "B", "V", "L", "U", "Linv", "Uinv", "Ainv", "K")
 
 #: Most samples one trajectory document may ask for, by ``samples.count``
 #: or ``samples.times``; a larger request is refused before any sample
@@ -110,18 +109,19 @@ def _check_domain(n: int, h: float, d: int) -> None:
         raise DomainError(f"field 'h' must be positive, got {h}")
 
 
-def parse_problem(doc) -> CostProblem:
+def _parse_header(doc) -> tuple[int, float, int]:
     n = _get(doc, "n", int)
     h = _get(doc, "h", float)
     d = _get(doc, "d", int)
     _check_domain(n, h, d)
+    return n, h, d
+
+
+def parse_problem(doc) -> CostProblem:
+    n, h, d = _parse_header(doc)
     x = _as_matrix("x", _get(doc, "x", list), n, d)
     y = _as_matrix("y", _get(doc, "y", list), n, d)
     return make_problem(h, x, y)
-
-
-def _floats(arr: np.ndarray) -> list:
-    return [float(v) for v in np.asarray(arr).ravel()]
 
 
 def _cmd_cost(args) -> dict:
@@ -195,22 +195,10 @@ def _cmd_trajectory(args) -> dict:
 
 def _cmd_matrices(args) -> dict:
     n, h = args.n, args.h
-    builders = {
-        "A": mats.build_A,
-        "B": mats.build_B,
-        "V": mats.build_V,
-        "L": mats.build_L,
-        "U": mats.build_U,
-        "Linv": mats.build_L_inv,
-        "Uinv": mats.build_U_inv,
-        "Ainv": mats.build_A_inv,
-        "K": mats.build_K,
-    }
-    requested = args.which or list(_MATRIX_NAMES)
     out = {}
-    for name in requested:
+    for name in args.which or mats.BUILDERS:
         with np.errstate(over="ignore"):  # an overflowed entry is refused below
-            matrix = builders[name](n, h)
+            matrix = mats.BUILDERS[name](n, h)
         if not np.isfinite(matrix).all():
             raise DomainError(
                 f"matrix {name} at n={n}, h={h} is beyond double precision"
@@ -218,7 +206,7 @@ def _cmd_matrices(args) -> dict:
         out[name] = {
             "rows": matrix.shape[0],
             "cols": matrix.shape[1],
-            "data": _floats(matrix),
+            "data": matrix.ravel().tolist(),
         }
     return {"n": n, "h": h, "matrices": out}
 
@@ -235,10 +223,7 @@ def _parse_measure(doc, field: str, n: int, d: int) -> DiscreteMeasure:
 
 def _cmd_transport(args) -> dict:
     doc = _load_document(args.input)
-    n = _get(doc, "n", int)
-    h = _get(doc, "h", float)
-    d = _get(doc, "d", int)
-    _check_domain(n, h, d)
+    n, h, d = _parse_header(doc)
     mu = _parse_measure(doc, "mu", n, d)
     nu = _parse_measure(doc, "nu", n, d)
     value, assignment = w2_uniform(mu, nu, h)
@@ -295,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mat.add_argument("n", type=int)
     p_mat.add_argument("h", type=float)
     p_mat.add_argument(
-        "--which", nargs="+", choices=_MATRIX_NAMES, metavar="NAME",
-        help=f"subset of {', '.join(_MATRIX_NAMES)} (default: all)",
+        "--which", nargs="+", choices=tuple(mats.BUILDERS), metavar="NAME",
+        help=f"subset of {', '.join(mats.BUILDERS)} (default: all)",
     )
 
     p_tr = sub.add_parser("transport", help="assignment transport between two measures")

@@ -32,8 +32,6 @@ import numpy as np
 
 from .matrices import (
     _a_inv_coefficients,
-    _check_horizon,
-    _check_order,
     _powers,
     build_A_inv,
     build_b,
@@ -48,6 +46,7 @@ from .types import (
     CostProblem,
     DomainError,
     TrajectoryPolynomial,
+    _check_order,
 )
 
 ROUTES = ("algorithm51", "kform", "scaled")
@@ -142,11 +141,9 @@ def cost(problem: CostProblem, route: str = "algorithm51") -> CostBreakdown:
     """Minimum integrated squared n-th derivative between the two endpoints.
 
     Deterministic for fixed inputs; all routes share the same gap vector b.
-    The problem has already checked its horizon; its order is checked
-    here, because ``CostProblem`` does not bound it.
+    ``CostProblem`` validated the order, horizon and shapes when built.
     """
-    n = _check_order(problem.n)
-    h = problem.h
+    n, h = problem.n, problem.h
     # an overflow shows as a non-finite total, which finalize_totals refuses
     with np.errstate(over="ignore", invalid="ignore"):
         b = build_b(problem)
@@ -189,8 +186,7 @@ def solve_trajectory(problem: CostProblem) -> TrajectoryPolynomial:
     below n, and the upper block solves A a = b through the closed-form
     inverse.
     """
-    n = _check_order(problem.n)
-    h = _check_horizon(problem.h)
+    n, h = problem.n, problem.h
     x = problem.start.values
     inv_fact = np.array([1.0 / math.factorial(k) for k in range(n)])[:, None]
     # a coefficient may overflow where the stacks do not: it stays inf or nan

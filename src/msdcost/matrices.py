@@ -5,8 +5,9 @@ degree-(2n-1) polynomial splits into a lower monomial block (1..t**(n-1),
 derivative matrix V) and an upper block (t**n..t**(2n-1), derivative
 matrix A).  This module builds A, V, the right-hand-side gap vector b,
 the bilinear-form matrix B, the Gram matrix K of the upper-block n-th
-derivatives, the triangular factors A = L U and their inverses, and the
-closed-form determinant of A.
+derivatives, the triangular factors A = L U and their inverses, the
+free-flight propagator T(h) = V(h) V(0)^-1, and the closed-form
+determinant of A.
 
 All indices are 0-based.  Entry formulas (i = row, j = column):
 
@@ -18,6 +19,7 @@ All indices are 0-based.  Entry formulas (i = row, j = column):
     Uinv[i,j] = (-1)**(i+j) * h**(j-i-n) / (i! (j-i)!)    (j >= i)
     Linv[i,j] = (-1)**(i-j) * (i!/j!) * C(n+i-j-1, i-j) * h**(j-i)  (i >= j)
     K[i,j]    = (n!)**2 * C(n+i,n) * C(n+j,n) * h**(i+j+1)/(i+j+1)
+    T[i,j]    = h**(j-i)/(j-i)!                           (j >= i)
 
 Each builder is an entry function giving the exact integer or rational
 coefficient, the h exponent and a divisor (applied after the power, as in
@@ -42,32 +44,11 @@ from operator import mul
 
 import numpy as np
 
-from .types import CostProblem, DomainError
-
-#: Largest supported derivative order.  Factorials up to (2n-1)! and the
-#: conditioning of A stay comfortably inside double precision up to here;
-#: raise it at your own risk.
-N_MAX = 12
+from .types import N_MAX, CostProblem, _check_horizon, _check_order  # N_MAX re-exported
 
 #: Entries kept by each per-(n, h) cache (the form matrix and the
 #: propagation table): under 1 MB in all at n = N_MAX.
 _HORIZON_CACHE_SIZE = 256
-
-
-def _check_order(n: int) -> int:
-    if not isinstance(n, (int, np.integer)):
-        raise DomainError(f"order must be an integer, got {n!r}")
-    if n < 1 or n > N_MAX:
-        raise DomainError(f"order out of range: n={n} (supported 1..{N_MAX})")
-    return int(n)
-
-
-def _check_horizon(h: float, allow_zero: bool = False) -> float:
-    h = float(h)
-    if not math.isfinite(h) or h < 0.0 or (h == 0.0 and not allow_zero):
-        kind = "nonnegative" if allow_zero else "positive"
-        raise DomainError(f"horizon must be {kind} and finite, got h={h}")
-    return h
 
 
 def _powers(h: float, lo: int, hi: int) -> list[float]:
@@ -150,39 +131,20 @@ def build_B(n: int, h: float) -> np.ndarray:
     return _tabulate(_b_entry, n, h)
 
 
-@lru_cache(maxsize=N_MAX)
-def _shift_pattern(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gather index, coefficient slots and divisors of the propagation terms.
-
-    The gather index (n + 1, n) reads a stack padded by n zero rows.  Row 0
-    gathers a zero row for every k: the zero each sum starts from.  Row
-    s + 1 gathers values[k + s] into column k, a zero row where k + s >= n.
-    Each term takes its coefficient from slot s + 1 of [0, h**0/0!, ...,
-    h**(n-1)/(n-1)!], and a term that gathers a zero row from slot 0; the
-    divisors are [1, 0!, ..., (n-1)!].
-    """
-    s, k = np.indices((n, n))
-    gather = np.vstack([np.full((1, n), n), k + s])
-    slot = np.where(gather < n, np.arange(n + 1)[:, None], 0)[..., None]
-    divisors = np.array([1] + [math.factorial(j) for j in range(n)], dtype=float)
-    for table in (gather, slot, divisors):
-        table.setflags(write=False)
-    return gather, slot, divisors
+def _t_entry(n, i, j):
+    if j >= i:
+        return 1, j - i, math.factorial(j - i)
 
 
 @lru_cache(maxsize=_HORIZON_CACHE_SIZE)
-def _propagation_table(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gather index and the coefficient of each gathered term, read-only.
+def _propagation_table(n: int, h: float) -> np.ndarray:
+    """The free-flight propagator T(h) = V(h) V(0)^-1, read-only.
 
-    The horizon is checked here, on a miss only; an invalid h raises and
-    is never cached.
+    Checked on a miss only: an invalid (n, h) raises and is never cached.
     """
-    h = _check_horizon(h)
-    gather, slot, divisors = _shift_pattern(n)
-    powers = np.array([0.0] + _powers(h, 0, n - 1)[:n])  # n = 0 still gives h**0
-    coef = (powers / divisors)[slot]
-    coef.setflags(write=False)
-    return gather, coef
+    T = _tabulate(_t_entry, n, h)
+    T.setflags(write=False)
+    return T
 
 
 def taylor_propagate(values: np.ndarray, h: float) -> np.ndarray:
@@ -194,29 +156,22 @@ def taylor_propagate(values: np.ndarray, h: float) -> np.ndarray:
     -2 in one pass; each stack's result is bit-identical to propagating
     it alone.
 
-    One gather from the stack padded with n zero rows lays out every
-    term: an exact +0.0, then values[k + s] times h**s/s! for s = 0..n-1,
-    with exact zeros where k + s >= n.  The gather index and coefficients
-    are cached per (n, h).  ``np.add.accumulate`` adds the terms strictly
-    in order, so row k is the sum of its terms in increasing j, starting
-    from zero, and the zeros past the end change no bit.  The result is
-    C order: a strided stack would change the bits of a later matmul.
+    ``np.add.accumulate`` adds the terms T[k, j] values[j] strictly in
+    increasing j.  The structural zeros (j < k) add only signed zeros and
+    the final ``+ 0.0`` turns -0.0 into +0.0, so row k is bit for bit the
+    left-to-right sum of its terms from zero.  The result is C order: a
+    strided stack would change the bits of a later matmul.
     """
     values = np.asarray(values, dtype=float)
     stack = values[:, None] if values.ndim == 1 else values
-    *lead, n, d = stack.shape
-    gather, coef = _propagation_table(n, h)
-    padded = np.zeros((*lead, 2 * n, d))
-    padded[..., :n, :] = stack
-    terms = padded[..., gather, :]  # (..., term, k, d)
-    terms *= coef
-    sums = np.add.accumulate(terms, axis=-3)[..., -1, :, :]
-    return np.ascontiguousarray(sums).reshape(values.shape)
+    T = _propagation_table(stack.shape[-2], h)
+    terms = T.T[:, :, None] * stack[..., :, None, :]  # (..., j, k, d)
+    sums = np.add.accumulate(terms, axis=-3)[..., -1, :, :] + 0.0
+    return sums.reshape(values.shape)
 
 
 def build_b(problem: CostProblem) -> np.ndarray:
     """Gap vector b (n x d): end stack minus the free-flight image of the start."""
-    _check_order(problem.n)
     return problem.end.values - taylor_propagate(problem.start.values, problem.h)
 
 
@@ -322,6 +277,20 @@ def build_K(n: int, h: float) -> np.ndarray:
     Symmetric positive definite; a diagonally scaled Hilbert-type matrix.
     """
     return _tabulate(_k_entry, n, h)
+
+
+#: The public builders by their CLI name, in the default output order.
+BUILDERS = {
+    "A": build_A,
+    "B": build_B,
+    "V": build_V,
+    "L": build_L,
+    "U": build_U,
+    "Linv": build_L_inv,
+    "Uinv": build_U_inv,
+    "Ainv": build_A_inv,
+    "K": build_K,
+}
 
 
 def det_A(n: int, h: float) -> float:

@@ -1,8 +1,11 @@
-"""Value types and exceptions shared across the package.
+"""Value types, exceptions and the domain checks shared across the package.
 
 All arrays follow one stacking convention: a boundary state is an (n, d)
 array whose row k holds the k-th derivative of the curve at that endpoint
 (units length/time**k), with d the spatial dimension.
+
+Validation lives here: the value types check their order, horizon and
+shapes once, when built; entry points taking a raw n or h reuse the checks.
 """
 
 from __future__ import annotations
@@ -23,6 +26,28 @@ class SingularMatrixError(DomainError):
 
 class ConsistencyError(ArithmeticError):
     """A quantity violated an identity far beyond rounding noise."""
+
+
+#: Largest supported derivative order.  Factorials up to (2n-1)! and the
+#: conditioning of A stay comfortably inside double precision up to here;
+#: raise it at your own risk.
+N_MAX = 12
+
+
+def _check_order(n: int) -> int:
+    if not isinstance(n, (int, np.integer)):
+        raise DomainError(f"order must be an integer, got {n!r}")
+    if n < 1 or n > N_MAX:
+        raise DomainError(f"order out of range: n={n} (supported 1..{N_MAX})")
+    return int(n)
+
+
+def _check_horizon(h: float, allow_zero: bool = False) -> float:
+    h = float(h)
+    if not math.isfinite(h) or h < 0.0 or (h == 0.0 and not allow_zero):
+        kind = "nonnegative" if allow_zero else "positive"
+        raise DomainError(f"horizon must be {kind} and finite, got h={h}")
+    return h
 
 
 def _value_eq(self, other) -> bool:
@@ -90,29 +115,21 @@ class CostProblem:
     __eq__ = _value_eq
 
     def __post_init__(self):
-        if self.start.n != self.n or self.end.n != self.n:
+        object.__setattr__(self, "n", _check_order(self.n))
+        object.__setattr__(self, "h", _check_horizon(self.h))
+        shape = (self.n, self.d)
+        if self.start.values.shape != shape or self.end.values.shape != shape:
             raise DomainError(
-                f"endpoint order mismatch: n={self.n}, start has {self.start.n} rows,"
-                f" end has {self.end.n}"
+                f"endpoint shapes must be {shape}: start has {self.start.values.shape},"
+                f" end has {self.end.values.shape}"
             )
-        if self.start.d != self.d or self.end.d != self.d:
-            raise DomainError(
-                f"endpoint dimension mismatch: d={self.d}, start has {self.start.d},"
-                f" end has {self.end.d}"
-            )
-        if not (self.h > 0.0) or not math.isfinite(self.h):
-            raise DomainError(f"horizon must be positive and finite, got h={self.h}")
 
 
 def make_problem(h: float, x, y) -> CostProblem:
     """Build a CostProblem from raw (n, d) or length-n boundary arrays."""
     start = BoundaryState(x)
     end = BoundaryState(y)
-    if start.n != end.n or start.d != end.d:
-        raise DomainError(
-            f"endpoint shapes differ: start {start.values.shape} vs end {end.values.shape}"
-        )
-    return CostProblem(n=start.n, h=float(h), d=start.d, start=start, end=end)
+    return CostProblem(n=start.n, h=h, d=start.d, start=start, end=end)
 
 
 def _frozen_stack(name: str, values, shape: tuple) -> np.ndarray:
@@ -151,8 +168,8 @@ class TrajectoryPolynomial:
     __eq__ = _value_eq
 
     def __post_init__(self):
-        if not (self.h > 0.0) or not np.isfinite(self.h):
-            raise DomainError(f"horizon must be positive and finite, got h={self.h}")
+        object.__setattr__(self, "n", _check_order(self.n))
+        object.__setattr__(self, "h", _check_horizon(self.h))
         n, d = self.n, self.d
         coeffs = _frozen_stack("coefficient", self.coeffs, (2 * n, d))
         object.__setattr__(self, "coeffs", coeffs)

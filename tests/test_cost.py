@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msdcost import (
+    N_MAX,
     BoundaryState,
     ConsistencyError,
+    CostProblem,
     DomainError,
     TrajectoryPolynomial,
     build_b,
@@ -77,6 +79,31 @@ def test_problem_construction_validation():
         make_problem(-1.0, [0.0], [1.0])
     with pytest.raises(DomainError):
         make_problem(1.0, [[0.0], [0.0]], [[1.0, 0.0], [0.0, 0.0]])
+
+
+def test_value_types_refuse_an_order_at_construction():
+    rows = np.zeros((N_MAX + 1, 2))
+    with pytest.raises(DomainError, match="order out of range"):
+        make_problem(1.0, rows, rows)
+    with pytest.raises(DomainError, match="order out of range"):
+        TrajectoryPolynomial(n=N_MAX + 1, h=1.0, d=2, coeffs=np.vstack([rows, rows]))
+    x = BoundaryState([0.0, 1.0])
+    with pytest.raises(DomainError, match="must be an integer"):
+        CostProblem(n=2.0, h=1.0, d=1, start=x, end=x)
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+def test_value_types_refuse_a_horizon_with_one_message(h):
+    from msdcost.types import _check_horizon  # the one horizon check
+
+    x = BoundaryState([0.0, 1.0])
+    with pytest.raises(DomainError) as problem_error:
+        CostProblem(n=2, h=h, d=1, start=x, end=x)
+    with pytest.raises(DomainError) as poly_error:
+        TrajectoryPolynomial(n=2, h=h, d=1, coeffs=np.zeros((4, 1)))
+    with pytest.raises(DomainError) as check_error:
+        _check_horizon(h)
+    assert str(problem_error.value) == str(poly_error.value) == str(check_error.value)
 
 
 def test_cost_via_K_examples():

@@ -92,9 +92,9 @@ def test_cached_arrays_are_read_only():
     M = form_matrix(4, 0.37)
     with pytest.raises(ValueError):
         M[0, 0] = 1.0
-    for array in _propagation_table(4, 0.37):
-        with pytest.raises(ValueError):
-            array[0, 0] = 1
+    T = _propagation_table(4, 0.37)
+    with pytest.raises(ValueError):
+        T[0, 0] = 1.0
     H = hessian(4, 0.37)  # a fresh array built from the cached one
     H[0, 0] = 1.0
     assert H[0, 0] != form_matrix(4, 0.37)[0, 0]

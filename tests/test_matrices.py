@@ -168,6 +168,13 @@ def test_nonpositive_horizon_rejected(bad_h):
         build_K(2, bad_h)
 
 
+@pytest.mark.parametrize("rows", [0, N_MAX + 1])
+def test_taylor_propagate_refuses_an_order_out_of_range(rows):
+    for shape in ((rows,), (rows, 2), (3, rows, 2)):
+        with pytest.raises(DomainError, match="order out of range"):
+            taylor_propagate(np.zeros(shape), 1.0)
+
+
 def test_V_allows_zero_horizon_only():
     build_V(4, 0.0)
     with pytest.raises(DomainError):
