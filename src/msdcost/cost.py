@@ -137,29 +137,45 @@ def _scaled_total(n: int, h: float, b: np.ndarray) -> float:
     return p[1 - 2 * n] * form_totals(form_matrix(n, 1.0), b_tilde)
 
 
+_GAP_OVERFLOW = "gap vector b is beyond double precision"
+
+
+def _check_gap(b: np.ndarray) -> None:
+    if not np.isfinite(b).all():
+        raise DomainError(_GAP_OVERFLOW)
+
+
 def cost(problem: CostProblem, route: str = "algorithm51") -> CostBreakdown:
     """Minimum integrated squared n-th derivative between the two endpoints.
 
     Deterministic for fixed inputs; all routes share the same gap vector b.
     ``CostProblem`` validated the order, horizon and shapes when built.
+
+    A non-finite gap b raises DomainError on every route.  The float routes
+    check b only when their total is not a finite nonnegative number: the
+    form's diagonal is positive, so an inf or nan anywhere in b reaches the
+    total.  ``kform`` checks b first, since its exact evaluation cannot take
+    an inf.  A finite nonnegative total is returned as it is; any other
+    total goes through ``finalize_totals``.
     """
     n, h = problem.n, problem.h
     # an overflow shows as a non-finite total, which finalize_totals refuses
     with np.errstate(over="ignore", invalid="ignore"):
         b = build_b(problem)
-        if not np.isfinite(b).all():
-            raise DomainError("gap vector b is beyond double precision")
         if route == "algorithm51":
-            total = form_totals(form_matrix(n, h), b)
+            total = float(form_totals(form_matrix(n, h), b))
         elif route == "kform":
+            _check_gap(b)
             total = _kform_total(n, h, b)
         elif route == "scaled":
-            total = _scaled_total(n, h, b)
+            total = float(_scaled_total(n, h, b))
         else:
+            _check_gap(b)  # an overflowing gap is reported first, whatever the route
             raise DomainError(f"unknown cost route {route!r}, expected one of {ROUTES}")
-    return CostBreakdown(
-        total=float(finalize_totals(total)), route=route, b=b, clamped=bool(total < 0.0)
-    )
+    if 0.0 <= total < math.inf:
+        return CostBreakdown(total, route, b)
+    _check_gap(b)
+    return CostBreakdown(float(finalize_totals(total)), route, b, total < 0.0)
 
 
 def cost_via_K(problem: CostProblem) -> float:
@@ -299,17 +315,28 @@ def free_flight_target(n: int, h: float, start: BoundaryState) -> BoundaryState:
     """The unique end state reachable at zero cost from ``start`` over h.
 
     Row j of the target is sum_{i>=j} h**(i-j)/(i-j)! x_i, i.e. the Taylor
-    propagation of the start stack with vanishing n-th derivative.
+    propagation of the start stack with vanishing n-th derivative.  A
+    target beyond double precision raises DomainError.
     """
     n = _check_order(n)
     if start.n != n:
         raise DomainError(f"start state has order {start.n}, expected {n}")
-    return BoundaryState(taylor_propagate(start.values, h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = taylor_propagate(start.values, h)
+    if not np.isfinite(target).all():
+        raise DomainError(f"free-flight target over h={h} is beyond double precision")
+    return BoundaryState(target)
 
 
 def is_free_flight(problem: CostProblem, tol: float = FREE_FLIGHT_TOL) -> bool:
-    """True when the gap vector vanishes relative to the boundary data."""
-    return gap_is_free_flight(problem, build_b(problem), tol)
+    """True when the gap vector vanishes relative to the boundary data.
+
+    A gap beyond double precision raises DomainError, as in ``cost``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = build_b(problem)
+    _check_gap(b)
+    return gap_is_free_flight(problem, b, tol)
 
 
 def gap_is_free_flight(

@@ -140,9 +140,11 @@ def _t_entry(n, i, j):
 def _propagation_table(n: int, h: float) -> np.ndarray:
     """The free-flight propagator T(h) = V(h) V(0)^-1, read-only.
 
-    Checked on a miss only: an invalid (n, h) raises and is never cached.
+    Stored transposed as a (j, k, 1) array, the layout ``taylor_propagate``
+    multiplies by.  Checked on a miss only: an invalid (n, h) raises and is
+    never cached.
     """
-    T = _tabulate(_t_entry, n, h)
+    T = np.ascontiguousarray(_tabulate(_t_entry, n, h).T)[:, :, None]
     T.setflags(write=False)
     return T
 
@@ -156,18 +158,18 @@ def taylor_propagate(values: np.ndarray, h: float) -> np.ndarray:
     -2 in one pass; each stack's result is bit-identical to propagating
     it alone.
 
-    ``np.add.accumulate`` adds the terms T[k, j] values[j] strictly in
-    increasing j.  The structural zeros (j < k) add only signed zeros and
-    the final ``+ 0.0`` turns -0.0 into +0.0, so row k is bit for bit the
-    left-to-right sum of its terms from zero.  The result is C order: a
-    strided stack would change the bits of a later matmul.
+    The terms T[k, j] values[j] are laid out (..., j, k, d) and summed by
+    ``np.add.reduce`` over j, starting from +0.0.  numpy sums pairwise
+    only along the fast memory axis, and j is never that axis, so it adds
+    the terms strictly in increasing j: row k is bit for bit the
+    left-to-right sum of its terms from zero, and never -0.0 (the
+    structural zeros, j < k, add only signed zeros).  The result is C
+    order: a strided stack would change the bits of a later matmul.
     """
     values = np.asarray(values, dtype=float)
     stack = values[:, None] if values.ndim == 1 else values
-    T = _propagation_table(stack.shape[-2], h)
-    terms = T.T[:, :, None] * stack[..., :, None, :]  # (..., j, k, d)
-    sums = np.add.accumulate(terms, axis=-3)[..., -1, :, :] + 0.0
-    return sums.reshape(values.shape)
+    terms = _propagation_table(stack.shape[-2], h) * stack[..., :, None, :]
+    return np.add.reduce(terms, axis=-3, initial=0.0).reshape(values.shape)
 
 
 def build_b(problem: CostProblem) -> np.ndarray:

@@ -78,7 +78,7 @@ def _as_state_array(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundaryState:
     """Derivative stack (position through (n-1)-th derivative) at one endpoint.
 
@@ -90,8 +90,8 @@ class BoundaryState:
 
     __eq__ = _value_eq
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_state_array(self.values))
+    def __init__(self, values):
+        self.__dict__["values"] = _as_state_array(values)
 
     @property
     def n(self) -> int:
@@ -102,7 +102,14 @@ class BoundaryState:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+def _frozen_state(arr: np.ndarray) -> BoundaryState:
+    """A BoundaryState around an (n, d) array already checked and frozen."""
+    state = BoundaryState.__new__(BoundaryState)
+    state.__dict__["values"] = arr
+    return state
+
+
+@dataclass(frozen=True, init=False)
 class CostProblem:
     """Two-point boundary problem: order n, horizon h > 0, endpoints start/end."""
 
@@ -114,22 +121,42 @@ class CostProblem:
 
     __eq__ = _value_eq
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _check_order(self.n))
-        object.__setattr__(self, "h", _check_horizon(self.h))
-        shape = (self.n, self.d)
-        if self.start.values.shape != shape or self.end.values.shape != shape:
+    def __init__(
+        self, n: int, h: float, d: int, start: BoundaryState, end: BoundaryState
+    ):
+        n, h = _check_order(n), _check_horizon(h)
+        shape = (n, d)
+        if start.values.shape != shape or end.values.shape != shape:
             raise DomainError(
-                f"endpoint shapes must be {shape}: start has {self.start.values.shape},"
-                f" end has {self.end.values.shape}"
+                f"endpoint shapes must be {shape}: start has {start.values.shape},"
+                f" end has {end.values.shape}"
             )
+        self.__dict__.update(n=n, h=h, d=d, start=start, end=end)
 
 
 def make_problem(h: float, x, y) -> CostProblem:
-    """Build a CostProblem from raw (n, d) or length-n boundary arrays."""
-    start = BoundaryState(x)
-    end = BoundaryState(y)
-    return CostProblem(n=start.n, h=h, d=start.d, start=start, end=end)
+    """Build a CostProblem from raw (n, d) or length-n boundary arrays.
+
+    Both stacks are copied into one (2, n, d) array, checked for
+    finiteness in one pass and frozen; the two states are its halves.
+    Inputs that do not stack that way (ragged, mismatched or empty shapes,
+    a wrong ndim, non-finite or non-numeric entries) take the per-state
+    path ``BoundaryState(x)``, ``BoundaryState(y)``, ``CostProblem(...)``,
+    so every error and its message are the same as building them one by
+    one.
+    """
+    try:
+        pair = np.array((x, y), dtype=float)
+    except (TypeError, ValueError, OverflowError):  # the per-state path reports it
+        pair = np.empty(0)
+    pair.setflags(write=False)
+    if pair.ndim == 2:
+        pair = pair[:, :, None]
+    if pair.ndim != 3 or 0 in pair.shape or not np.isfinite(pair).all():
+        start, end = BoundaryState(x), BoundaryState(y)
+        return CostProblem(n=start.n, h=h, d=start.d, start=start, end=end)
+    _, n, d = pair.shape
+    return CostProblem(n, h, d, _frozen_state(pair[0]), _frozen_state(pair[1]))
 
 
 def _frozen_stack(name: str, values, shape: tuple) -> np.ndarray:
@@ -189,7 +216,7 @@ class TrajectoryPolynomial:
         object.__setattr__(self, "end", _frozen_stack("end", end, (n, d)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CostBreakdown:
     """Cost value plus the route that produced it and the gap vector b.
 
@@ -201,6 +228,11 @@ class CostBreakdown:
     route: str
     b: np.ndarray
     clamped: bool = False
+
+    __eq__ = _value_eq
+
+    def __init__(self, total: float, route: str, b: np.ndarray, clamped: bool = False):
+        self.__dict__.update(total=total, route=route, b=b, clamped=clamped)
 
 
 @dataclass(frozen=True, init=False)

@@ -1,3 +1,4 @@
+import importlib
 import math
 import re
 import warnings
@@ -27,7 +28,8 @@ from msdcost import (
     reduce_order,
     solve_trajectory,
 )
-from msdcost.cost import NEGATIVE_CLAMP, finalize_totals
+from msdcost.cost import NEGATIVE_CLAMP, finalize_totals, form_totals
+from msdcost.matrices import form_matrix
 
 REST_TO_REST = {1: 1.0, 2: 12.0, 3: 720.0, 4: 100800.0}
 
@@ -553,3 +555,88 @@ def test_cost_nonnegative_property(n, h, seed):
     rng = np.random.default_rng(seed)
     p = make_problem(h, rng.uniform(-5, 5, (n, 2)), rng.uniform(-5, 5, (n, 2)))
     assert cost(p).total >= 0.0
+
+
+# ------------------------------------------- lazy gap check, float sign rule
+
+GAP_MESSAGE = "gap vector b is beyond double precision"
+# an inf gap (x0 + h x1 overflows) and a nan gap (h x1 + h**2/2 x2 is inf - inf)
+NON_FINITE_GAPS = [
+    (1.0, [[1e308], [1e308]], [[0.0], [0.0]]),
+    (1e10, [0.0, 1e308, -1e308], [0.0, 0.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("h, x, y", NON_FINITE_GAPS)
+@pytest.mark.parametrize("route", ["algorithm51", "kform", "scaled", "no-such-route"])
+def test_cost_refuses_a_non_finite_gap_on_every_route(h, x, y, route):
+    p = make_problem(h, x, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{GAP_MESSAGE}$"):
+            cost(p, route=route)
+
+
+def pinned_outcome(fn):
+    try:
+        out = fn()
+    except (DomainError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+    return np.float64(out).tobytes()
+
+
+def test_cost_total_and_gap_match_the_kernel_bitwise():
+    rng = np.random.default_rng(72)
+    for n in range(1, N_MAX + 1):
+        for h in (1e-2, 1.0, 100.0):
+            for d in (1, 3):
+                p = make_problem(h, rng.standard_normal((n, d)), rng.standard_normal((n, d)))
+                b = build_b(p)
+                kernel = pinned_outcome(
+                    lambda: finalize_totals(form_totals(form_matrix(n, h), b))
+                )
+                assert pinned_outcome(lambda: cost(p).total) == kernel
+                if isinstance(kernel, bytes):
+                    out = cost(p)
+                    assert type(out.total) is float and type(out.clamped) is bool
+                    assert out.b.tobytes() == b.tobytes() and out.b.shape == (n, d)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [0.0, -0.0, 2.5, 5e-324, -5e-324, -1e-12, -NEGATIVE_CLAMP, -2e-9, -1.0, math.inf,
+     -math.inf, math.nan],
+)
+@pytest.mark.parametrize("route", ["algorithm51", "scaled"])
+def test_cost_applies_the_one_sign_rule_to_its_total(monkeypatch, raw, route):
+    cost_module = importlib.import_module("msdcost.cost")  # the package's `cost` is the function
+    p = make_problem(1.0, [0.0, 1.0], [1.0, 0.0])
+    monkeypatch.setattr(cost_module, "form_totals", lambda M, G: np.float64(raw))
+    want = pinned_outcome(lambda: finalize_totals(raw))
+    assert pinned_outcome(lambda: cost(p, route=route).total) == want
+    if isinstance(want, bytes):
+        assert cost(p, route=route).clamped is (raw < 0.0)
+
+
+# ------------------------------------------- free-flight helpers at overflow
+
+
+def test_free_flight_helpers_refuse_an_overflowing_gap_without_warnings():
+    p = make_problem(1e10, 1e300 * np.ones((4, 1)), 1e300 * np.ones((4, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{GAP_MESSAGE}$"):
+            cost(p)
+        with pytest.raises(DomainError, match=f"^{GAP_MESSAGE}$"):
+            is_free_flight(p)
+        with pytest.raises(DomainError, match="free-flight target .* beyond double"):
+            free_flight_target(4, 1e10, p.start)
+
+
+def test_free_flight_target_does_not_blame_a_finite_start():
+    start = BoundaryState(np.arange(12.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            free_flight_target(12, 1e200, start)
+    assert "free-flight target over h=1e+200 is beyond double precision" == str(info.value)

@@ -586,3 +586,18 @@ def test_taylor_propagate_matches_loop_reference(h):
                 assert_bit_identical(
                     taylor_propagate(values, h), taylor_propagate_reference(values, h)
                 )
+
+
+@pytest.mark.parametrize("h", REFERENCE_H)
+def test_taylor_propagate_layouts_match_loop_reference(h):
+    # (n, 1) and (m, n, 1) stacks are where numpy may merge axes of the product
+    rng = np.random.default_rng(45)
+    with np.errstate(all="ignore"):
+        for n in range(1, N_MAX + 1):
+            for shape in ((n, 1), (256, n, 1), (256, n, 3)):
+                values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+                values.flat[0] = -0.0
+                values[..., -1, :] = -0.0
+                got = taylor_propagate(values, h)
+                assert got.flags.c_contiguous
+                assert_bit_identical(got, taylor_propagate_reference(values, h))
