@@ -180,7 +180,7 @@ def _cmd_trajectory(args) -> dict:
     poly = solve_trajectory(problem)
     if not np.isfinite(poly.coeffs).all():
         raise DomainError("trajectory coefficients are beyond double precision")
-    values = [eval_trajectory(poly, k, t).tolist() for t in times]
+    values = eval_trajectory(poly, k, times).tolist()
     return {
         "n": poly.n,
         "h": poly.h,

@@ -47,6 +47,7 @@ from .types import (
     DomainError,
     TrajectoryPolynomial,
     _check_order,
+    _frozen_trajectory,
 )
 
 ROUTES = ("algorithm51", "kform", "scaled")
@@ -208,14 +209,9 @@ def solve_trajectory(problem: CostProblem) -> TrajectoryPolynomial:
     # a coefficient may overflow where the stacks do not: it stays inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
         upper = build_A_inv(n, h) @ build_b(problem)
-    return TrajectoryPolynomial(
-        n=n,
-        h=h,
-        d=problem.d,
-        coeffs=np.vstack([x * inv_fact, upper]),
-        start=x,
-        end=problem.end.values,
-    )
+    coeffs = np.vstack([x * inv_fact, upper])
+    coeffs.setflags(write=False)
+    return _frozen_trajectory(n, h, problem.d, coeffs, x, problem.end.values)
 
 
 #: A sample with s = t/h in [0, 1] whose bound from ``_sampler`` is below
@@ -279,36 +275,46 @@ def _sampler(poly: TrajectoryPolynomial, k: int) -> tuple:
     return entry
 
 
-def _hermite_sample(T, e, f, D, s: float) -> np.ndarray:
-    return T.dot(s**e * (1.0 - s) ** f).dot(D)
+def _hermite_sample(T, e, f, D, s: np.ndarray) -> np.ndarray:
+    """(len(s), d) samples.  Stacked matmuls give each s a lone sample's
+    products, so each row is its one-at-a-time sample bit for bit; a gemm is not."""
+    s = s[:, None]
+    basis = np.matmul(T, (s**e * (1.0 - s) ** f)[:, :, None])[:, :, 0]
+    return np.matmul(basis[:, None, :], D)[:, 0, :]
 
 
-def eval_trajectory(poly: TrajectoryPolynomial, k: int, t: float) -> np.ndarray:
+def eval_trajectory(poly: TrajectoryPolynomial, k: int, t) -> np.ndarray:
     """k-th derivative of the trajectory at time t, as a d-vector.
 
-    Samples the two-point Hermite form: the k-th derivatives of the 2n
-    basis functions at s = t/h, from cached exact Bernstein tables, are
-    combined with the endpoint stacks scaled by h**(j-k).  For k < n the
-    samples at t = 0 and t = h are the stack rows x_k and y_k bit for bit.
-    Times outside [0, h] extrapolate the polynomial.  Any k >= 2n returns
-    zeros (the optimizer satisfies the stationarity condition xi^(2n) = 0).
-    A sample beyond double precision raises DomainError naming t.
+    A sequence of times gives a (len(times), d) array whose row i is, bit
+    for bit, the sample at times[i].  Samples the two-point Hermite
+    form: the k-th derivatives of the 2n basis functions at s = t/h, from
+    cached exact Bernstein tables, are combined with the endpoint stacks
+    scaled by h**(j-k).  For k < n the samples at t = 0 and t = h are the
+    stack rows x_k and y_k bit for bit.  Times outside [0, h] extrapolate
+    the polynomial.  Any k >= 2n returns zeros (the optimizer satisfies the
+    stationarity condition xi^(2n) = 0).  A sample beyond double precision
+    raises DomainError naming the first such t.
     """
     if k < 0:
         raise DomainError(f"derivative order must be nonnegative, got k={k}")
+    times = np.asarray(t, dtype=float)
+    shape = times.shape + (poly.d,)
     if k >= 2 * poly.n:
-        return np.zeros(poly.d)
+        return np.zeros(shape)
     T, e, f, D, bounded = _sampler(poly, k)
-    s = float(t) / poly.h
-    if bounded and 0.0 <= s <= 1.0:  # cannot overflow: no guard needed
-        return _hermite_sample(T, e, f, D, s)
+    s = times.ravel() / poly.h
+    if bounded and ((0.0 <= s) & (s <= 1.0)).all():  # cannot overflow: no guard needed
+        return _hermite_sample(T, e, f, D, s).reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _hermite_sample(T, e, f, D, s)
-    if not np.isfinite(value).all():
+        values = _hermite_sample(T, e, f, D, s)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
         raise DomainError(
-            f"trajectory derivative k={k} at t={t} is beyond double precision"
+            f"trajectory derivative k={k} at t={float(times.ravel()[finite.argmin()])}"
+            " is beyond double precision"
         )
-    return value
+    return values.reshape(shape)
 
 
 def free_flight_target(n: int, h: float, start: BoundaryState) -> BoundaryState:

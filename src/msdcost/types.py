@@ -169,7 +169,7 @@ def _frozen_stack(name: str, values, shape: tuple) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TrajectoryPolynomial:
     """Optimal curve of degree at most 2n-1 on [0, h], d spatial columns.
 
@@ -180,7 +180,7 @@ class TrajectoryPolynomial:
     is derived output, ill-conditioned for large n or h far from 1, and
     may overflow where the stacks do not.  Built from ``coeffs`` alone,
     the stacks are derived once from it: start = V(0) a_low and
-    end = V(h) a_low + A(h) a_up.
+    end = V(h) a_low + A(h) a_up.  The arrays are read-only.
     """
 
     n: int
@@ -194,26 +194,29 @@ class TrajectoryPolynomial:
 
     __eq__ = _value_eq
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _check_order(self.n))
-        object.__setattr__(self, "h", _check_horizon(self.h))
-        n, d = self.n, self.d
-        coeffs = _frozen_stack("coefficient", self.coeffs, (2 * n, d))
-        object.__setattr__(self, "coeffs", coeffs)
-        if (self.start is None) != (self.end is None):
+    def __init__(self, n: int, h: float, d: int, coeffs, start=None, end=None):
+        n, h = _check_order(n), _check_horizon(h)
+        coeffs = _frozen_stack("coefficient", coeffs, (2 * n, d))
+        if (start is None) != (end is None):
             raise DomainError("give both endpoint stacks or neither")
-        if self.start is None:
+        if start is None:
             from .matrices import build_A, build_V  # matrices imports this module
 
             # an overflowing stack is refused when it is sampled
             with np.errstate(over="ignore", invalid="ignore"):
                 low, up = coeffs[:n], coeffs[n:]
                 start = build_V(n, 0.0) @ low
-                end = build_V(n, self.h) @ low + build_A(n, self.h) @ up
-        else:
-            start, end = self.start, self.end
-        object.__setattr__(self, "start", _frozen_stack("start", start, (n, d)))
-        object.__setattr__(self, "end", _frozen_stack("end", end, (n, d)))
+                end = build_V(n, h) @ low + build_A(n, h) @ up
+        start = _frozen_stack("start", start, (n, d))
+        end = _frozen_stack("end", end, (n, d))
+        vars(self).update(n=n, h=h, d=d, coeffs=coeffs, start=start, end=end, _samplers={})
+
+
+def _frozen_trajectory(n, h, d, coeffs, start, end) -> TrajectoryPolynomial:
+    """A TrajectoryPolynomial around arrays already checked and frozen: no copy."""
+    poly = TrajectoryPolynomial.__new__(TrajectoryPolynomial)
+    vars(poly).update(n=n, h=h, d=d, coeffs=coeffs, start=start, end=end, _samplers={})
+    return poly
 
 
 @dataclass(frozen=True, init=False)

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 import msdcost
-from msdcost import TrajectoryPolynomial, quadrature_cost
+from msdcost import (
+    TrajectoryPolynomial,
+    eval_trajectory,
+    make_problem,
+    quadrature_cost,
+    solve_trajectory,
+)
 from msdcost import cli as cli_module
 from msdcost.cli import build_parser, main
 from msdcost.selftest import git_sha
@@ -160,6 +166,51 @@ def test_trajectory_sample_overflow_names_time(monkeypatch, capsys):
         code, out, err = run_cli(["trajectory"], doc, monkeypatch, capsys)
     assert (code, out) == (3, "")
     assert "t=1e+308" in err
+
+
+@pytest.mark.parametrize(
+    "times, first", [([0.5, -1e308, 1e308], "t=-1e+308"), ([0.5, float("nan")], "t=nan")]
+)
+def test_trajectory_sample_overflow_names_first_bad_time(times, first, monkeypatch, capsys):
+    doc = dict(PROBLEM, samples={"k": 0, "times": times})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["trajectory"], doc, monkeypatch, capsys)
+    assert (code, out) == (3, "")
+    assert f"at {first} is" in err
+
+
+def test_trajectory_values_match_per_time_samples(monkeypatch, capsys):
+    rng = np.random.default_rng(611)
+    for n in (1, 2, 5, 8, 12):
+        for h in (1e-2, 0.37, 9.5):
+            x, y = rng.uniform(-5, 5, (n, 3)), rng.uniform(-5, 5, (n, 3))
+            poly = solve_trajectory(make_problem(h, x, y))
+            base = {"n": n, "h": h, "d": 3, "x": x.tolist(), "y": y.tolist()}
+            for k in (0, n - 1, n, 2 * n - 1, 2 * n):
+                for samples in ({"count": 101}, {"times": [-0.5 * h, 0.3 * h, 1.5 * h]}):
+                    doc = dict(base, samples=dict(samples, k=k))
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        code, out, _ = run_cli(["trajectory"], doc, monkeypatch, capsys)
+                    payload = json.loads(out)
+                    want = [eval_trajectory(poly, k, t).tolist() for t in payload["times"]]
+                    assert code == 0 and payload["values"] == want, (n, h, k, samples)
+
+
+def test_trajectory_empty_times_and_zero_derivatives(monkeypatch, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        doc = dict(PROBLEM, samples={"k": 0, "times": []})
+        code, out, _ = run_cli(["trajectory"], doc, monkeypatch, capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["times"], payload["values"]) == ([], [])
+        assert payload["extrapolated"] is False
+        doc = dict(PROBLEM, samples={"k": 4, "times": [0.0, 0.5, 2.0]})
+        code, out, _ = run_cli(["trajectory"], doc, monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(out)["values"] == [[0.0], [0.0], [0.0]]
 
 
 def test_trajectory_coefficient_overflow_exits_3(monkeypatch, capsys):

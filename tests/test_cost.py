@@ -28,7 +28,7 @@ from msdcost import (
     reduce_order,
     solve_trajectory,
 )
-from msdcost.cost import NEGATIVE_CLAMP, finalize_totals, form_totals
+from msdcost.cost import NEGATIVE_CLAMP, _sampler, finalize_totals, form_totals
 from msdcost.matrices import form_matrix
 
 REST_TO_REST = {1: 1.0, 2: 12.0, 3: 720.0, 4: 100800.0}
@@ -379,6 +379,51 @@ def test_trajectory_sample_overflow_names_time():
         for t in (1e308, -1e308, float("inf"), float("nan")):
             with pytest.raises(DomainError, match=re.escape(f"t={t}")):
                 eval_trajectory(poly, 0, t)
+
+
+def dot_chain_reference(poly, k, t):
+    """The per-time sampler before batching: two chained dots at one s = t/h."""
+    if k >= 2 * poly.n:
+        return np.zeros(poly.d)
+    T, e, f, D, _ = _sampler(poly, k)
+    s = float(t) / poly.h
+    return T.dot(s**e * (1.0 - s) ** f).dot(D)
+
+
+def test_trajectory_batch_matches_per_time_samples_bitwise():
+    rng = np.random.default_rng(610)
+    for n in range(1, 13):
+        for d in (1, 2, 3):
+            for h in SAMPLER_HORIZONS:
+                x, y = rng.uniform(-5, 5, (n, d)), rng.uniform(-5, 5, (n, d))
+                poly = solve_trajectory(make_problem(h, x, y))
+                times = [0.0, 0.3 * h, 0.77 * h, h, -0.5 * h, 1.5 * h]
+                for k in range(2 * n + 1):
+                    batch = eval_trajectory(poly, k, times)
+                    lone = np.array([eval_trajectory(poly, k, t) for t in times])
+                    ref = np.array([dot_chain_reference(poly, k, t) for t in times])
+                    assert batch.shape == (len(times), d), (n, d, h, k)
+                    assert batch.tobytes() == lone.tobytes(), (n, d, h, k)
+                    assert batch.tobytes() == ref.tobytes(), (n, d, h, k)
+
+
+def test_trajectory_batch_edge_cases():
+    poly = solve_trajectory(make_problem(1.0, np.zeros((2, 3)), np.ones((2, 3))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert eval_trajectory(poly, 0, []).shape == (0, 3)
+        assert eval_trajectory(poly, 1, np.array([0.25, 0.5])).shape == (2, 3)
+        for k in (4, 9):
+            zeros = eval_trajectory(poly, k, [0.0, 0.5, float("nan"), 1e308])
+            assert zeros.shape == (4, 3) and (zeros == 0.0).all()
+        cases = (
+            ([0.5, -1e308, 1e308], "t=-1e+308"),
+            ((0.5, float("nan"), 1e308), "t=nan"),
+            (np.array([1.0, float("inf"), -1e308]), "t=inf"),
+        )
+        for times, first in cases:
+            with pytest.raises(DomainError, match=re.escape(f"at {first} is")):
+                eval_trajectory(poly, 0, times)
 
 
 # ----------------------------------------------------------- free flight

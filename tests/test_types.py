@@ -13,7 +13,16 @@ import math
 import numpy as np
 import pytest
 
-from msdcost import BoundaryState, CostBreakdown, CostProblem, DomainError, make_problem
+from msdcost import (
+    BoundaryState,
+    CostBreakdown,
+    CostProblem,
+    DomainError,
+    TrajectoryPolynomial,
+    eval_trajectory,
+    make_problem,
+    solve_trajectory,
+)
 
 
 def make_problem_per_state(h, x, y):
@@ -146,3 +155,41 @@ def test_cost_breakdown_by_keyword_and_position():
     assert dataclasses.replace(by_position, total=0.0).total == 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         by_position.total = 1.0
+
+
+def test_trajectory_polynomial_by_keyword_position_and_solver():
+    p = make_problem(0.7, [[0.0, 1.0], [2.0, 0.0]], [[1.0, 0.0], [0.0, 3.0]])
+    poly = solve_trajectory(p)
+    # the solver hands over the problem's frozen stacks; its coeffs are frozen too
+    assert poly.start is p.start.values and poly.end is p.end.values
+    assert not poly.coeffs.flags.writeable
+    by_position = TrajectoryPolynomial(2, 0.7, 2, poly.coeffs, poly.start, poly.end)
+    by_keyword = TrajectoryPolynomial(
+        n=2, h=0.7, d=2, coeffs=poly.coeffs.tolist(), start=p.start.values, end=p.end.values
+    )
+    assert by_position == by_keyword == poly
+    sources = (poly.coeffs, p.start.values, p.end.values)
+    for built in (by_position, by_keyword):  # the public constructor keeps its copies
+        arrays = (built.coeffs, built.start, built.end)
+        assert not any(a.flags.writeable for a in arrays)
+        assert not any(np.shares_memory(a, b) for a, b in zip(arrays, sources))
+    eval_trajectory(poly, 1, [0.1, 0.2])  # fills the sampler memo of poly only
+    assert list(poly._samplers) == [1] and by_position._samplers == {}
+    assert dataclasses.replace(poly, h=1.4)._samplers == {}
+    assert repr(poly).startswith("TrajectoryPolynomial(n=2, h=0.7, d=2, coeffs=array(")
+    assert "_samplers" not in repr(poly)
+    assert [f.name for f in dataclasses.fields(TrajectoryPolynomial)] == [
+        "n", "h", "d", "coeffs", "start", "end", "_samplers"
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        poly.h = 1.0
+    with pytest.raises(DomainError, match="horizon must be positive"):
+        dataclasses.replace(poly, h=-1.0)
+    with pytest.raises(DomainError, match="order out of range"):
+        TrajectoryPolynomial(0, 0.7, 2, np.zeros((0, 2)))
+    with pytest.raises(DomainError, match=r"coefficient array must have shape \(4, 2\)"):
+        TrajectoryPolynomial(2, 0.7, 2, np.zeros((3, 2)))
+    with pytest.raises(DomainError, match="give both endpoint stacks or neither"):
+        TrajectoryPolynomial(2, 0.7, 2, poly.coeffs, start=poly.start)
+    with pytest.raises(DomainError, match=r"end array must have shape \(2, 2\)"):
+        TrajectoryPolynomial(2, 0.7, 2, poly.coeffs, poly.start, np.zeros((3, 2)))
