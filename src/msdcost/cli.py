@@ -3,7 +3,8 @@
 Subcommands: cost, trajectory, matrices, transport, selftest.
 Exit codes: 0 success, 1 selftest failure, 2 parse/schema error,
 3 domain error (including a result that overflows double precision, which
-strict JSON cannot carry), and 141 (128 + SIGPIPE) from ``entry`` when
+strict JSON cannot carry) or a consistency error (a cost far below zero
+for a nonnegative form), and 141 (128 + SIGPIPE) from ``entry`` when
 the reader of stdout has gone away.  Diagnostics go to stderr; stdout
 carries only complete JSON documents (or the selftest report).
 
@@ -32,7 +33,13 @@ from .cost import (
 )
 from .selftest import environment, render_report, run_selftest
 from .transport import w2_uniform
-from .types import CostProblem, DiscreteMeasure, DomainError, make_problem
+from .types import (
+    ConsistencyError,
+    CostProblem,
+    DiscreteMeasure,
+    DomainError,
+    make_problem,
+)
 
 _ROUTE_FLAGS = {"alg51": "algorithm51", "kform": "kform", "scaled": "scaled"}
 
@@ -311,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except (DomainError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     print(rendered)

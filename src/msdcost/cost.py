@@ -36,7 +36,6 @@ from .matrices import (
     build_A_inv,
     build_b,
     form_matrix,
-    h_power_table,
     taylor_propagate,
 )
 from .types import (
@@ -47,7 +46,7 @@ from .types import (
     DomainError,
     TrajectoryPolynomial,
     _check_order,
-    _frozen_trajectory,
+    _trusted,
 )
 
 ROUTES = ("algorithm51", "kform", "scaled")
@@ -83,10 +82,7 @@ def finalize_totals(totals) -> np.ndarray:
     below -NEGATIVE_CLAMP raises ConsistencyError.
     """
     totals = np.asarray(totals, dtype=float)
-    if totals.ndim:
-        lo, hi = float(totals.min()), float(totals.max())
-    else:
-        lo = hi = float(totals)
+    lo, hi = float(totals.min()), float(totals.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         bad = hi if math.isfinite(lo) else lo
         raise DomainError(f"cost evaluated to {bad}, outside double precision")
@@ -132,10 +128,9 @@ def _kform_total(n: int, h: float, b: np.ndarray) -> float:
 
 
 def _scaled_total(n: int, h: float, b: np.ndarray) -> float:
-    p = h_power_table(n, h)
-    row_scale = np.array([p[i] for i in range(n)])[:, None]
-    b_tilde = b * row_scale
-    return p[1 - 2 * n] * form_totals(form_matrix(n, 1.0), b_tilde)
+    p = _powers(h, 1 - 2 * n, n - 1)  # h**(1-2n), ..., h**(n-1)
+    row_scale = np.array(p[2 * n - 1 :])[:, None]
+    return p[0] * form_totals(form_matrix(n, 1.0), b * row_scale)
 
 
 _GAP_OVERFLOW = "gap vector b is beyond double precision"
@@ -211,7 +206,10 @@ def solve_trajectory(problem: CostProblem) -> TrajectoryPolynomial:
         upper = build_A_inv(n, h) @ build_b(problem)
     coeffs = np.vstack([x * inv_fact, upper])
     coeffs.setflags(write=False)
-    return _frozen_trajectory(n, h, problem.d, coeffs, x, problem.end.values)
+    return _trusted(
+        TrajectoryPolynomial, n=n, h=h, d=problem.d, coeffs=coeffs,
+        start=x, end=problem.end.values, _samplers={},
+    )
 
 
 #: A sample with s = t/h in [0, 1] whose bound from ``_sampler`` is below

@@ -155,21 +155,21 @@ def _augmenting_paths(c: np.ndarray) -> np.ndarray:
         # float expression, so equality is exact and ties go to the
         # earliest source, as a strict-< relaxation would give them.  Only
         # the free row and the rows scanned before the column offered it
-        # anything, so `final` keeps their count beside the length.
-        final = {
-            k: (t + 1, length) for t, (k, length) in enumerate(zip(scanned, scanned_dist))
-        }
-        final[j] = (len(sources), lowest)
+        # anything.  The walk starts at the sink, offered by every source;
+        # each later path column is the old column of a scanned row, so it
+        # was scanned itself, and its scan position gives its count and length.
+        count, length = len(sources), lowest
         source_rows = np.array(sources)
         source_offsets = np.array(offsets)
         while True:
-            count, length = final[j]
             offers = (c[source_rows[:count], j] - v[j]) + source_offsets[:count]
             i = sources[int((offers == length).argmax())]
             row_of_col[j] = i
             col_of_row[i], j = j, col_of_row[i]
             if i == free_row:
                 break
+            t = scanned.index(j)
+            count, length = t + 1, scanned_dist[t]
         v[scanned] += np.array(scanned_dist) - lowest
     return np.array(col_of_row, dtype=int)
 

@@ -50,6 +50,13 @@ def _check_horizon(h: float, allow_zero: bool = False) -> float:
     return h
 
 
+def _trusted(cls, **fields):
+    """A ``cls`` around fields already checked and frozen: no validation, no copy."""
+    value = cls.__new__(cls)
+    vars(value).update(fields)
+    return value
+
+
 def _value_eq(self, other) -> bool:
     """Field-by-field equality that compares array fields with ``np.array_equal``.
 
@@ -91,7 +98,7 @@ class BoundaryState:
     __eq__ = _value_eq
 
     def __init__(self, values):
-        self.__dict__["values"] = _as_state_array(values)
+        vars(self).update(values=_as_state_array(values))
 
     @property
     def n(self) -> int:
@@ -100,13 +107,6 @@ class BoundaryState:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-
-def _frozen_state(arr: np.ndarray) -> BoundaryState:
-    """A BoundaryState around an (n, d) array already checked and frozen."""
-    state = BoundaryState.__new__(BoundaryState)
-    state.__dict__["values"] = arr
-    return state
 
 
 @dataclass(frozen=True, init=False)
@@ -131,7 +131,7 @@ class CostProblem:
                 f"endpoint shapes must be {shape}: start has {start.values.shape},"
                 f" end has {end.values.shape}"
             )
-        self.__dict__.update(n=n, h=h, d=d, start=start, end=end)
+        vars(self).update(n=n, h=h, d=d, start=start, end=end)
 
 
 def make_problem(h: float, x, y) -> CostProblem:
@@ -156,7 +156,8 @@ def make_problem(h: float, x, y) -> CostProblem:
         start, end = BoundaryState(x), BoundaryState(y)
         return CostProblem(n=start.n, h=h, d=start.d, start=start, end=end)
     _, n, d = pair.shape
-    return CostProblem(n, h, d, _frozen_state(pair[0]), _frozen_state(pair[1]))
+    start = _trusted(BoundaryState, values=pair[0])
+    return CostProblem(n, h, d, start, _trusted(BoundaryState, values=pair[1]))
 
 
 def _frozen_stack(name: str, values, shape: tuple) -> np.ndarray:
@@ -212,13 +213,6 @@ class TrajectoryPolynomial:
         vars(self).update(n=n, h=h, d=d, coeffs=coeffs, start=start, end=end, _samplers={})
 
 
-def _frozen_trajectory(n, h, d, coeffs, start, end) -> TrajectoryPolynomial:
-    """A TrajectoryPolynomial around arrays already checked and frozen: no copy."""
-    poly = TrajectoryPolynomial.__new__(TrajectoryPolynomial)
-    vars(poly).update(n=n, h=h, d=d, coeffs=coeffs, start=start, end=end, _samplers={})
-    return poly
-
-
 @dataclass(frozen=True, init=False)
 class CostBreakdown:
     """Cost value plus the route that produced it and the gap vector b.
@@ -235,7 +229,7 @@ class CostBreakdown:
     __eq__ = _value_eq
 
     def __init__(self, total: float, route: str, b: np.ndarray, clamped: bool = False):
-        self.__dict__.update(total=total, route=route, b=b, clamped=clamped)
+        vars(self).update(total=total, route=route, b=b, clamped=clamped)
 
 
 @dataclass(frozen=True, init=False)
@@ -265,7 +259,7 @@ class DiscreteMeasure:
                 )
         values = np.stack([p.values for p in pts])
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        vars(self).update(values=values)
 
     @property
     def points(self) -> tuple[BoundaryState, ...]:
@@ -303,6 +297,4 @@ class DiscreteMeasure:
         if not np.isfinite(a).all():
             raise DomainError("boundary values must be finite")
         a.setflags(write=False)
-        measure = cls.__new__(cls)
-        object.__setattr__(measure, "values", a)
-        return measure
+        return _trusted(cls, values=a)

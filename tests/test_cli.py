@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -387,6 +388,23 @@ def test_matrices_overflow_names_the_matrix(args, name, capsys):
     assert f"matrix {name} at n=12, h={float(args[1])}" in err
     assert "double precision" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args, module, totals",
+    [
+        (["cost"], "msdcost.cost", lambda M, G: np.float64(-1.0)),
+        (["transport"], "msdcost.transport", lambda M, G: np.full(G.shape[:-2], -1.0)),
+    ],
+    ids=["cost", "transport"],
+)
+def test_consistency_error_exits_3(args, module, totals, monkeypatch, capsys):
+    # a total far below zero breaks the sign rule: an error line, not a traceback
+    monkeypatch.setattr(importlib.import_module(module), "form_totals", totals)
+    doc = {**PROBLEM, "mu": [PROBLEM["x"]], "nu": [PROBLEM["y"]]}
+    code, out, err = run_cli(args, doc, monkeypatch, capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: cost evaluated to -1.0, far below zero for a nonnegative form\n"
 
 
 # -------------------------------------------------------------- transport

@@ -29,7 +29,7 @@ from msdcost import (
     solve_trajectory,
 )
 from msdcost.cost import NEGATIVE_CLAMP, _sampler, finalize_totals, form_totals
-from msdcost.matrices import form_matrix
+from msdcost.matrices import form_matrix, h_power_table
 
 REST_TO_REST = {1: 1.0, 2: 12.0, 3: 720.0, 4: 100800.0}
 
@@ -645,6 +645,26 @@ def test_cost_total_and_gap_match_the_kernel_bitwise():
                     out = cost(p)
                     assert type(out.total) is float and type(out.clamped) is bool
                     assert out.b.tobytes() == b.tobytes() and out.b.shape == (n, d)
+
+
+def scaled_total_from_power_table(p):
+    """The scaled route written out with every power read from ``h_power_table``."""
+    n, h = p.n, p.h
+    pw = h_power_table(n, h)
+    b = build_b(p)
+    row_scale = np.array([pw[i] for i in range(n)])[:, None]
+    total = float(pw[1 - 2 * n] * form_totals(form_matrix(n, 1.0), b * row_scale))
+    return finalize_totals(total)
+
+
+def test_scaled_route_matches_the_power_table_formula_bytewise():
+    rng = np.random.default_rng(73)
+    for n in range(1, N_MAX + 1):
+        for h in (1e-3, 1e-2, 0.37, 1.0, 100.0, 1e3):
+            for d in (1, 3):
+                p = make_problem(h, rng.standard_normal((n, d)), rng.standard_normal((n, d)))
+                want = pinned_outcome(lambda: scaled_total_from_power_table(p))
+                assert pinned_outcome(lambda: cost(p, route="scaled").total) == want, (n, h, d)
 
 
 @pytest.mark.parametrize(
