@@ -6,12 +6,10 @@ evaluation routes are provided:
 
 * ``algorithm51`` (default): b^T B A^-1 b with the closed-form inverse,
   summed over spatial dimensions.
-* ``kform``: solve for the upper polynomial coefficients a = A^-1 b and
-  evaluate a^T K a against the Gram matrix K.  This route is evaluated in
-  exact rational arithmetic (the float inputs are exact rationals) with a
-  single rounding at the end: the bilinear form has alternating-sign
-  cancellation that costs ~7 digits in plain float by n = 8, which would
-  defeat its purpose as a cross-check.
+* ``kform``: the paper's sum of squares h**(1-2n) sum_i (2i+1) (R_i . c)**2
+  over the integer Legendre table R, c_j = h**j b_j, evaluated exactly on
+  Python ints (every float is an integer over a power of two) and rounded
+  once: an exact cross-check of the float routes.
 * ``scaled``: pull the horizon into the boundary data (b row i scaled by
   h**i), evaluate everything at h = 1, and multiply by h**(1-2n).
   Better conditioned when h is far from 1.  At h = 1 this reproduces the
@@ -25,19 +23,11 @@ endpoint stacks, never from its monomial coefficients.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .matrices import (
-    _a_inv_coefficients,
-    _powers,
-    build_A_inv,
-    build_b,
-    form_matrix,
-    taylor_propagate,
-)
+from .matrices import _powers, build_A_inv, build_b, form_matrix, taylor_propagate
 from .types import (
     BoundaryState,
     ConsistencyError,
@@ -94,35 +84,34 @@ def finalize_totals(totals) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _gram_coefficients(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact h-free part of K: (n!)^2 C(n+i,n) C(n+j,n) / (i+j+1)."""
-    nfact2 = math.factorial(n) ** 2
-    return tuple(
-        tuple(
-            Fraction(nfact2 * math.comb(n + i, n) * math.comb(n + j, n), i + j + 1)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+def _legendre_rows(n: int) -> np.ndarray:
+    """Read-only integer table R, R[i][n-1-k] = (-1)**k k! C(i,k) C(i+k,k).
+
+    Row i is k! times the shifted Legendre polynomial of degree i, so the
+    cost of a gap b is h**(1-2n) sum_i (2i+1) (R_i . c)**2, c_j = h**j b_j.
+    """
+    R = np.array([[(-1) ** k * math.comb(i, k) * math.perm(i + k, k)
+                   for k in reversed(range(n))] for i in range(n)], dtype=object)
+    R.setflags(write=False)
+    return R
 
 
 def _kform_total(n: int, h: float, b: np.ndarray) -> float:
-    hf = Fraction(h)
-    hp = {e: hf ** e for e in range(1 - 2 * n, 2 * n)}
-    ainv = _a_inv_coefficients(n)
-    gram = _gram_coefficients(n)
-    total = Fraction(0)
-    for k in range(b.shape[1]):
-        bf = [Fraction(v) for v in b[:, k]]
-        a = [
-            sum(ainv[i][j] * hp[j - i - n] * bf[j] for j in range(n))
-            for i in range(n)
-        ]
-        for i in range(n):
-            for j in range(n):
-                total += gram[i][j] * hp[i + j + 1] * a[i] * a[j]
+    """The Legendre sum of squares on Python ints, rounded once.
+
+    With h = p/q and b = G/D over one power-of-two denominator, the ints
+    g_j = G_j p**j q**(n-1-j) give the cost as
+    q sum_i (2i+1) (R g)_i**2 / (p**(2n-1) D**2), a correctly rounded division.
+    """
+    p, q = h.as_integer_ratio()
+    ratios = [v.as_integer_ratio() for v in b.ravel().tolist()]
+    D = max(den for _, den in ratios)
+    G = np.array([num * (D // den) for num, den in ratios], dtype=object).reshape(b.shape)
+    scale = np.array([[p**j * q ** (n - 1 - j)] for j in range(n)], dtype=object)
+    v = _legendre_rows(n) @ (G * scale)
+    squares = sum((2 * i + 1) * (row * row).sum() for i, row in enumerate(v))
     try:
-        return float(total)
+        return q * squares / (p ** (2 * n - 1) * D * D)
     except OverflowError:
         raise DomainError("exact cost is beyond double precision") from None
 
@@ -175,7 +164,7 @@ def cost(problem: CostProblem, route: str = "algorithm51") -> CostBreakdown:
 
 
 def cost_via_K(problem: CostProblem) -> float:
-    """Cost through the Gram-matrix route a^T K a (exact evaluation)."""
+    """Cost through the exact route: the Legendre sum of squares a^T K a (``kform``)."""
     return cost(problem, route="kform").total
 
 
@@ -242,8 +231,8 @@ def _hermite_table(n: int, k: int) -> tuple:
     rows = start + end
     for _ in range(k):
         rows = [[b - a for a, b in zip(row, row[1:])] for row in rows]
-    scale = [Fraction(math.comb(m, r), math.factorial(m)) for r in range(m + 1)]
-    T = np.array([[float(v * c) for v, c in zip(row, scale)] for row in rows])
+    T = np.array([[v * math.comb(m, r) / math.factorial(m) for r, v in enumerate(row)]
+                  for row in rows])
     exponents = np.arange(m + 1.0)
     return T, exponents, exponents[::-1].copy(), float(np.abs(T).sum(axis=1).max())
 

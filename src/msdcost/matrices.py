@@ -37,6 +37,7 @@ horizon used again costs a lookup instead of a rebuild.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -44,7 +45,8 @@ from operator import mul
 
 import numpy as np
 
-from .types import N_MAX, CostProblem, _check_horizon, _check_order  # N_MAX re-exported
+from .types import N_MAX  # re-exported
+from .types import CostProblem, DomainError, _check_horizon, _check_order
 
 #: Entries kept by each per-(n, h) cache (the form matrix and the
 #: propagation table): under 1 MB in all at n = N_MAX.
@@ -300,9 +302,13 @@ def det_A(n: int, h: float) -> float:
 
     The h exponent follows from summing the monomial degrees n..2n-1 and
     subtracting C(n, 2) for the derivative rows, which gives n**2; direct
-    2x2/3x3 cofactor expansion confirms it.  Strictly positive for h > 0.
+    2x2/3x3 cofactor expansion confirms it.  Strictly positive for h > 0:
+    rounded once, and a value outside the normal doubles raises DomainError.
     """
     n = _check_order(n)
-    h = _check_horizon(h)
+    num, den = _check_horizon(h).as_integer_ratio()
     superfact = math.prod(math.factorial(k) for k in range(1, n))
-    return float(superfact) * h ** (n * n)
+    det = Fraction(superfact * num ** (n * n), den ** (n * n))
+    if not sys.float_info.min <= det <= sys.float_info.max:
+        raise DomainError(f"det A for n={n}, h={h} is outside double precision")
+    return float(det)

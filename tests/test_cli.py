@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import io
 import json
@@ -5,11 +6,14 @@ import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import msdcost
+from conftest import ENVELOPE, envelope_stacks
 from msdcost import (
     TrajectoryPolynomial,
     eval_trajectory,
@@ -566,3 +570,29 @@ def test_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ------------------------------------------------ envelope: strict JSON or refusal
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(**ENVELOPE)
+def test_cli_envelope_prints_one_strict_document_or_refuses(n, log10_h, d, seed):
+    x, y = envelope_stacks(n, d, seed)
+    doc = json.dumps({"n": n, "h": 10.0**log10_h, "d": d, "x": x.tolist(), "y": y.tolist()})
+    commands = [["cost", "--route", route] for route in ("alg51", "kform", "scaled")]
+    for args in commands + [["trajectory"]]:
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(doc)), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+        assert code in (0, 2, 3), args
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=refuse_constant)
+        else:
+            assert out.getvalue() == "" and err.getvalue().startswith("error: "), args

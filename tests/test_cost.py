@@ -1,14 +1,17 @@
 import importlib
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ENVELOPE, envelope_stacks
 from msdcost import (
     N_MAX,
     BoundaryState,
@@ -28,8 +31,15 @@ from msdcost import (
     reduce_order,
     solve_trajectory,
 )
-from msdcost.cost import NEGATIVE_CLAMP, _sampler, finalize_totals, form_totals
-from msdcost.matrices import form_matrix, h_power_table
+from msdcost.cost import (
+    NEGATIVE_CLAMP,
+    _hermite_table,
+    _legendre_rows,
+    _sampler,
+    finalize_totals,
+    form_totals,
+)
+from msdcost.matrices import _a_inv_coefficients, form_matrix, h_power_table
 
 REST_TO_REST = {1: 1.0, 2: 12.0, 3: 720.0, 4: 100800.0}
 
@@ -705,3 +715,125 @@ def test_free_flight_target_does_not_blame_a_finite_start():
         with pytest.raises(DomainError) as info:
             free_flight_target(12, 1e200, start)
     assert "free-flight target over h=1e+200 is beyond double precision" == str(info.value)
+
+
+# ------------------------------------- exact kform: Legendre sum of squares
+
+
+def exact_inverse(rows):
+    """Inverse of a square Fraction matrix by exact Gauss-Jordan elimination."""
+    n = len(rows)
+    aug = [list(row) + [Fraction(int(r == c)) for c in range(n)] for r, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * c for a, c in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+@pytest.mark.parametrize("h", [Fraction(1), Fraction(2, 7)])
+def test_legendre_rows_diagonalize_the_gram_form_exactly(h):
+    # A^-T K A^-1 = h**(1-2n) H R^T diag(1, 3, ..., 2n-1) R H with H = diag(h**j),
+    # with A, K and A^-1 built here from their entry formulas, not the package's
+    for n in range(1, N_MAX + 1):
+        A = [[Fraction(math.factorial(n + j), math.factorial(n + j - i)) * h ** (n + j - i)
+              for j in range(n)] for i in range(n)]
+        K = [[Fraction(math.factorial(n) ** 2 * math.comb(n + i, n) * math.comb(n + j, n),
+                       i + j + 1) * h ** (i + j + 1) for j in range(n)] for i in range(n)]
+        Ainv = exact_inverse(A)
+        KAinv = [[sum(K[i][k] * Ainv[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+        lhs = [[sum(Ainv[k][i] * KAinv[k][j] for k in range(n)) for j in range(n)]
+               for i in range(n)]
+        R = _legendre_rows(n)
+        rhs = [[h ** (1 - 2 * n + i + j) * sum((2 * k + 1) * R[k][i] * R[k][j] for k in range(n))
+                for j in range(n)] for i in range(n)]
+        assert lhs == rhs, n
+
+
+@lru_cache(maxsize=None)
+def gram_coefficients(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact h-free part of K: (n!)^2 C(n+i,n) C(n+j,n) / (i+j+1)."""
+    nfact2 = math.factorial(n) ** 2
+    return tuple(
+        tuple(
+            Fraction(nfact2 * math.comb(n + i, n) * math.comb(n + j, n), i + j + 1)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def kform_reference(n: int, h: float, b: np.ndarray) -> float:
+    """The Gram-matrix form a^T K a, a = A^-1 b, over Fractions: the earlier kform."""
+    hf = Fraction(h)
+    hp = {e: hf ** e for e in range(1 - 2 * n, 2 * n)}
+    ainv = _a_inv_coefficients(n)
+    gram = gram_coefficients(n)
+    total = Fraction(0)
+    for k in range(b.shape[1]):
+        bf = [Fraction(v) for v in b[:, k]]
+        a = [
+            sum(ainv[i][j] * hp[j - i - n] * bf[j] for j in range(n))
+            for i in range(n)
+        ]
+        for i in range(n):
+            for j in range(n):
+                total += gram[i][j] * hp[i + j + 1] * a[i] * a[j]
+    try:
+        return float(total)
+    except OverflowError:
+        raise DomainError("exact cost is beyond double precision") from None
+
+
+def test_kform_matches_the_gram_form_reference_bytewise():
+    rng = np.random.default_rng(74)
+    for n in range(1, N_MAX + 1):
+        for h in (1e-6, 1e-3, 0.37, 1.0, 82.6, 100.0, 1e3, 1e6):
+            for d in (1, 3):
+                for scale in (1e-3, 1.0, 1e3):
+                    x = scale * rng.standard_normal((n, d))
+                    p = make_problem(h, x, rng.standard_normal((n, d)))
+                    want = pinned_outcome(lambda: kform_reference(n, h, build_b(p)))
+                    assert pinned_outcome(lambda: cost(p, route="kform").total) == want, (
+                        n, h, d, scale)
+
+
+def test_kform_refuses_an_exact_cost_beyond_double_precision():
+    p = make_problem(1e-200, [[0.0], [0.0]], [[1.0], [0.0]])
+    message = "exact cost is beyond double precision"
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        kform_reference(2, 1e-200, build_b(p))
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        cost(p, route="kform")
+
+
+def test_hermite_table_matches_its_fraction_formula_bytewise():
+    for n in range(1, N_MAX + 1):
+        N = 2 * n - 1
+        start = [[math.comb(r, j) * math.factorial(N - j) if r < n else 0
+                  for r in range(N + 1)] for j in range(n)]
+        rows = start + [[(-1) ** j * v for v in reversed(row)] for j, row in enumerate(start)]
+        for k in range(2 * n):
+            m = N - k
+            scale = [Fraction(math.comb(m, r), math.factorial(m)) for r in range(m + 1)]
+            want = np.array([[float(v * c) for v, c in zip(row, scale)] for row in rows])
+            assert _hermite_table(n, k)[0].tobytes() == want.tobytes(), (n, k)
+            rows = [[b - a for a, b in zip(row, row[1:])] for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(**ENVELOPE)
+def test_kform_envelope_is_nonnegative_and_exactly_homogeneous(n, log10_h, d, seed):
+    h, (x, y) = 10.0**log10_h, envelope_stacks(n, d, seed)
+    try:
+        total = cost(make_problem(h, x, y), route="kform").total
+    except DomainError:
+        return
+    assert math.isfinite(total) and total >= 0.0
+    if total >= sys.float_info.min and math.isfinite(4.0 * total):
+        assert cost(make_problem(h, 2.0 * x, 2.0 * y), route="kform").total == 4.0 * total

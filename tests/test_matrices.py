@@ -149,6 +149,13 @@ def test_det_A_examples():
         assert det_A(1, h) == h
 
 
+@pytest.mark.parametrize("n, h", [(12, 1e3), (8, 1e5), (12, 100.0), (12, 1e-3)])
+def test_det_A_refuses_a_value_outside_the_normal_doubles(n, h):
+    # overflow once raised a bare OverflowError or returned inf, underflow returned 0.0
+    with pytest.raises(DomainError, match=f"^det A for n={n}, h={h} is outside double precision$"):
+        det_A(n, h)
+
+
 # ------------------------------------------------------------- validation
 
 
