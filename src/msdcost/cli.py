@@ -54,20 +54,32 @@ class SchemaError(ValueError):
 
 
 def _load_document(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise SchemaError(f"cannot read input {path!r}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read input {path!r}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _floats(field: str, value) -> np.ndarray:
+    """Checked numbers as floats; an int beyond double range exits 3, as 1e400 does."""
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:
+        raise DomainError(f"field {field!r} holds a number beyond double range") from None
 
 
 def _get(doc: dict, field: str, kind, required: bool = True, default=None):
@@ -83,9 +95,9 @@ def _get(doc: dict, field: str, kind, required: bool = True, default=None):
             raise SchemaError(f"field {field!r} must be an integer")
         return value
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_number(value):
             raise SchemaError(f"field {field!r} must be a number")
-        return float(value)
+        return float(_floats(field, value))
     if kind is list:
         if not isinstance(value, list):
             raise SchemaError(f"field {field!r} must be an array")
@@ -93,18 +105,16 @@ def _get(doc: dict, field: str, kind, required: bool = True, default=None):
     raise AssertionError(kind)
 
 
-def _as_matrix(field: str, value, rows: int, cols: int) -> np.ndarray:
+def _check_matrix(field: str, value, rows: int, cols: int) -> None:
+    """Refuse anything but ``rows`` lists of ``cols`` numbers; builds no array."""
     if not isinstance(value, list) or len(value) != rows:
         raise SchemaError(f"field {field!r} must be an array of {rows} rows")
-    out = np.zeros((rows, cols))
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"{field}[{i}] must be an array of {cols} numbers")
         for j, entry in enumerate(row):
-            if not isinstance(entry, (int, float)) or isinstance(entry, bool):
+            if not _is_number(entry):
                 raise SchemaError(f"{field}[{i}][{j}] must be a number")
-            out[i, j] = entry
-    return out
 
 
 def _check_domain(n: int, h: float, d: int) -> None:
@@ -126,9 +136,10 @@ def _parse_header(doc) -> tuple[int, float, int]:
 
 def parse_problem(doc) -> CostProblem:
     n, h, d = _parse_header(doc)
-    x = _as_matrix("x", _get(doc, "x", list), n, d)
-    y = _as_matrix("y", _get(doc, "y", list), n, d)
-    return make_problem(h, x, y)
+    x, y = _get(doc, "x", list), _get(doc, "y", list)
+    _check_matrix("x", x, n, d)
+    _check_matrix("y", y, n, d)
+    return make_problem(h, _floats("x", x), _floats("y", y))
 
 
 def _cmd_cost(args) -> dict:
@@ -160,12 +171,10 @@ def _parse_samples(doc, h: float) -> tuple[int, list[float]]:
     if has_times:
         raw = _get(samples, "times", list)
         _check_sample_count("samples.times", len(raw))
-        times = []
         for idx, value in enumerate(raw):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not _is_number(value):
                 raise SchemaError(f"samples.times[{idx}] must be a number")
-            times.append(float(value))
-        return k, times
+        return k, _floats("samples.times", raw).tolist()
     count = _get(samples, "count", int, required=False, default=11)
     if count < 1:
         raise DomainError(f"field 'samples.count' must be at least 1, got {count}")
@@ -222,10 +231,9 @@ def _parse_measure(doc, field: str, n: int, d: int) -> DiscreteMeasure:
     raw = _get(doc, field, list)
     if not raw:
         raise SchemaError(f"field {field!r} must contain at least one point")
-    points = np.zeros((len(raw), n, d))
     for idx, point in enumerate(raw):
-        points[idx] = _as_matrix(f"{field}[{idx}]", point, n, d)
-    return DiscreteMeasure.from_array(points)
+        _check_matrix(f"{field}[{idx}]", point, n, d)
+    return DiscreteMeasure.from_array(_floats(field, raw))
 
 
 def _cmd_transport(args) -> dict:

@@ -197,13 +197,8 @@ def solve_trajectory(problem: CostProblem) -> TrajectoryPolynomial:
     coeffs.setflags(write=False)
     return _trusted(
         TrajectoryPolynomial, n=n, h=h, d=problem.d, coeffs=coeffs,
-        start=x, end=problem.end.values, _samplers={},
+        start=x, end=problem.end.values,
     )
-
-
-#: A sample with s = t/h in [0, 1] whose bound from ``_sampler`` is below
-#: this cannot overflow, so it skips the floating-point guard.
-_NO_OVERFLOW_BOUND = 1e300
 
 
 @lru_cache(maxsize=None)
@@ -217,9 +212,8 @@ def _hermite_table(n: int, k: int) -> tuple:
     j are the integers C(r, j)(N-j)! for r < n and 0 from r = n on.  Their
     k-th forward differences times C(m, r)/m!, with m = N-k, are exact
     rationals, rounded once into row j of T, so that the k-th derivative of
-    function j at s is sum_r T[j, r] s**r (1-s)**(m-r).  Returns T, the two
-    exponent vectors and the largest row sum of |T|, which bounds every
-    basis value for s in [0, 1].
+    function j at s is sum_r T[j, r] s**r (1-s)**(m-r).  Returns T and
+    the exponent vectors of s and of 1-s.
     """
     N = 2 * n - 1
     m = N - k
@@ -234,40 +228,27 @@ def _hermite_table(n: int, k: int) -> tuple:
     T = np.array([[v * math.comb(m, r) / math.factorial(m) for r, v in enumerate(row)]
                   for row in rows])
     exponents = np.arange(m + 1.0)
-    return T, exponents, exponents[::-1].copy(), float(np.abs(T).sum(axis=1).max())
+    return T, exponents, exponents[::-1].copy()
 
 
 def _sampler(poly: TrajectoryPolynomial, k: int) -> tuple:
-    """Table, exponents, scaled stacks D and a no-overflow flag; once per (poly, k).
+    """(T, e, f, D): the cached ``_hermite_table(n, k)`` and the scaled stacks D.
 
-    For k < n, D stacks h**(j-k) x_j over h**(j-k) y_j (h**0 is exactly 1,
-    so both endpoints come out bit-exact).  For k >= n only the gap b
-    drives the derivative, so D is zero over h**(j-k) b_j and free flight
-    gives exact zeros.
+    D is built on each call.  For k < n, D stacks h**(j-k) x_j over
+    h**(j-k) y_j (h**0 is exactly 1, so both endpoints come out bit-exact).
+    For k >= n only the gap b drives the derivative, so D is zero over
+    h**(j-k) b_j and free flight gives exact zeros.
     """
-    entry = poly._samplers.get(k)
-    if entry is None:
-        n, h = poly.n, poly.h
-        T, e, f, t_norm = _hermite_table(n, k)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if k < n:
-                p = np.array(_powers(h, -k, n - 1 - k))[:, None]
-                D = np.vstack([p * poly.start, p * poly.end])
-            else:
-                p = np.array(_powers(h, -k, 0)[:n])[:, None]
-                gap = poly.end - taylor_propagate(poly.start, h)
-                D = np.vstack([np.zeros_like(gap), p * gap])
-            bounded = bool(t_norm * np.abs(D).sum(axis=0).max() < _NO_OVERFLOW_BOUND)
-        entry = poly._samplers[k] = (T, e, f, D, bounded)
-    return entry
-
-
-def _hermite_sample(T, e, f, D, s: np.ndarray) -> np.ndarray:
-    """(len(s), d) samples.  Stacked matmuls give each s a lone sample's
-    products, so each row is its one-at-a-time sample bit for bit; a gemm is not."""
-    s = s[:, None]
-    basis = np.matmul(T, (s**e * (1.0 - s) ** f)[:, :, None])[:, :, 0]
-    return np.matmul(basis[:, None, :], D)[:, 0, :]
+    n, h = poly.n, poly.h
+    with np.errstate(over="ignore", invalid="ignore"):  # eval_trajectory refuses it
+        if k < n:
+            p = np.array(_powers(h, -k, n - 1 - k))[:, None]
+            D = np.vstack([p * poly.start, p * poly.end])
+        else:
+            p = np.array(_powers(h, -k, 0)[:n])[:, None]
+            gap = poly.end - taylor_propagate(poly.start, h)
+            D = np.vstack([np.zeros_like(gap), p * gap])
+    return (*_hermite_table(n, k), D)
 
 
 def eval_trajectory(poly: TrajectoryPolynomial, k: int, t) -> np.ndarray:
@@ -280,8 +261,9 @@ def eval_trajectory(poly: TrajectoryPolynomial, k: int, t) -> np.ndarray:
     scaled by h**(j-k).  For k < n the samples at t = 0 and t = h are the
     stack rows x_k and y_k bit for bit.  Times outside [0, h] extrapolate
     the polynomial.  Any k >= 2n returns zeros (the optimizer satisfies the
-    stationarity condition xi^(2n) = 0).  A sample beyond double precision
-    raises DomainError naming the first such t.
+    stationarity condition xi^(2n) = 0).  Every batch is computed with
+    overflow warnings off and then checked: a sample beyond double
+    precision raises DomainError naming the first such t.
     """
     if k < 0:
         raise DomainError(f"derivative order must be nonnegative, got k={k}")
@@ -289,12 +271,13 @@ def eval_trajectory(poly: TrajectoryPolynomial, k: int, t) -> np.ndarray:
     shape = times.shape + (poly.d,)
     if k >= 2 * poly.n:
         return np.zeros(shape)
-    T, e, f, D, bounded = _sampler(poly, k)
-    s = times.ravel() / poly.h
-    if bounded and ((0.0 <= s) & (s <= 1.0)).all():  # cannot overflow: no guard needed
-        return _hermite_sample(T, e, f, D, s).reshape(shape)
+    T, e, f, D = _sampler(poly, k)
+    s = (times.ravel() / poly.h)[:, None]
+    # Stacked matmuls give each s a lone sample's products, so each row is
+    # its one-at-a-time sample bit for bit; a gemm is not.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _hermite_sample(T, e, f, D, s)
+        basis = np.matmul(T, (s**e * (1.0 - s) ** f)[:, :, None])[:, :, 0]
+        values = np.matmul(basis[:, None, :], D)[:, 0, :]
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise DomainError(

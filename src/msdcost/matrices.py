@@ -18,6 +18,7 @@ All indices are 0-based.  Entry formulas (i = row, j = column):
     L[i,j]    = C(i,j) * n!/(n-i+j)! * h**(j-i)           (j <= i)
     Uinv[i,j] = (-1)**(i+j) * h**(j-i-n) / (i! (j-i)!)    (j >= i)
     Linv[i,j] = (-1)**(i-j) * (i!/j!) * C(n+i-j-1, i-j) * h**(j-i)  (i >= j)
+    Ainv[i,j] = (-1)**(i+j)/j! * sum_{k>=i,j} C(k,i) C(n-1+k-j, k-j) * h**(j-i-n)
     K[i,j]    = (n!)**2 * C(n+i,n) * C(n+j,n) * h**(i+j+1)/(i+j+1)
     T[i,j]    = h**(j-i)/(j-i)!                           (j >= i)
 
@@ -225,22 +226,21 @@ def build_L_inv(n: int, h: float) -> np.ndarray:
 def _a_inv_coefficients(n: int) -> tuple[tuple[Fraction, ...], ...]:
     """Exact rational coefficients c with A(h)^-1[i,j] = c[i][j] * h**(j-i-n).
 
-    The product U^-1 L^-1 is accumulated in exact integer arithmetic so each
-    entry of the inverse is correctly rounded after the single float
-    conversion; a float-by-float product would lose ~5 digits by n = 12
-    through cancellation between the large alternating terms.
+    The paper's explicit Wronskian inverse, the entrywise sum of U^-1[i,k] L^-1[k,j]:
+    c[i][j] = (-1)**(i+j) / j! * sum_{k=max(i,j)}^{n-1} C(k,i) C(n-1+k-j, k-j).
+    Each entry is exact, so it is correctly rounded by its one float
+    conversion; a float product of the factors would lose ~5 digits by
+    n = 12 through cancellation between the large alternating terms.
     """
-
-    def exact(entry, i, j):
-        cell = entry(n, i, j)
-        return Fraction(cell[0], cell[2]) if cell else Fraction(0)
-
-    ui, li = (
-        [[exact(entry, i, j) for j in range(n)] for i in range(n)]
-        for entry in (_u_inv_entry, _l_inv_entry)
-    )
     return tuple(
-        tuple(sum(ui[i][k] * li[k][j] for k in range(i, n)) for j in range(n))
+        tuple(
+            Fraction(
+                (-1) ** (i + j) * sum(math.comb(k, i) * math.comb(n - 1 + k - j, k - j)
+                                      for k in range(max(i, j), n)),
+                math.factorial(j),
+            )
+            for j in range(n)
+        )
         for i in range(n)
     )
 
@@ -250,7 +250,7 @@ def _a_inv_entry(n, i, j):
 
 
 def build_A_inv(n: int, h: float) -> np.ndarray:
-    """Inverse of A as the product U^-1 L^-1 (exact rational coefficients)."""
+    """Closed-form inverse of A: the explicit Wronskian inverse, rounded once."""
     return _tabulate(_a_inv_entry, n, h)
 
 

@@ -11,7 +11,7 @@ shapes once, when built; entry points taking a raw n or h reuse the checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,15 +58,10 @@ def _trusted(cls, **fields):
 
 
 def _value_eq(self, other) -> bool:
-    """Field-by-field equality that compares array fields with ``np.array_equal``.
-
-    Fields declared with ``compare=False`` (memo caches) are left out.
-    """
+    """Field-by-field equality that compares array fields with ``np.array_equal``."""
     if other.__class__ is not self.__class__:
         return NotImplemented
     for f in fields(self):
-        if not f.compare:
-            continue
         a, b = getattr(self, f.name), getattr(other, f.name)
         if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
             return False
@@ -181,7 +176,8 @@ class TrajectoryPolynomial:
     is derived output, ill-conditioned for large n or h far from 1, and
     may overflow where the stacks do not.  Built from ``coeffs`` alone,
     the stacks are derived once from it: start = V(0) a_low and
-    end = V(h) a_low + A(h) a_up.  The arrays are read-only.
+    end = V(h) a_low + A(h) a_up.  The arrays are read-only, and the value
+    holds these six fields and nothing else: sampling keeps no state in it.
     """
 
     n: int
@@ -190,8 +186,6 @@ class TrajectoryPolynomial:
     coeffs: np.ndarray
     start: np.ndarray | None = None
     end: np.ndarray | None = None
-    # per derivative order: the sampling table and the scaled stacks
-    _samplers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     __eq__ = _value_eq
 
@@ -210,7 +204,7 @@ class TrajectoryPolynomial:
                 end = build_V(n, h) @ low + build_A(n, h) @ up
         start = _frozen_stack("start", start, (n, d))
         end = _frozen_stack("end", end, (n, d))
-        vars(self).update(n=n, h=h, d=d, coeffs=coeffs, start=start, end=end, _samplers={})
+        vars(self).update(n=n, h=h, d=d, coeffs=coeffs, start=start, end=end)
 
 
 @dataclass(frozen=True, init=False)

@@ -244,6 +244,46 @@ def test_missing_input_file(capsys):
     assert "cannot read" in err
 
 
+BEYOND_DOUBLE = 10**400  # a JSON integer literal no float holds
+
+
+@pytest.mark.parametrize(
+    "args, doc, code",
+    [
+        (["cost"], dict(PROBLEM, x=[[BEYOND_DOUBLE], [0.0]]), 3),
+        (["cost"], dict(PROBLEM, h=BEYOND_DOUBLE), 3),
+        (["trajectory"], dict(PROBLEM, samples={"times": [BEYOND_DOUBLE]}), 3),
+        (["transport"], {"n": 1, "h": 1.0, "d": 1, "mu": [[[BEYOND_DOUBLE]]],
+                         "nu": [[[0.0]]]}, 3),
+        # row lengths are checked before an (n, d) array is built
+        (["cost"], dict(PROBLEM, d=10**15), 2),
+        (["cost"], dict(PROBLEM, d=2**64), 2),
+        (["transport"], {"n": 1, "h": 1.0, "d": 10**15, "mu": [[[0.0]]],
+                         "nu": [[[0.0]]]}, 2),
+    ],
+    ids=["cost-x", "cost-h", "trajectory-times", "transport-mu",
+         "cost-d-1e15", "cost-d-2**64", "transport-d-1e15"],
+)
+def test_out_of_range_numbers_and_sizes_exit_cleanly(args, doc, code, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(args) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_undecodable_input_exits_2(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "problem.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["cost", "--input", str(path)]) == 2
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["cost"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error: cannot read input") == 2
+
+
 # ------------------------------------------------------------ trajectory
 
 

@@ -395,7 +395,7 @@ def dot_chain_reference(poly, k, t):
     """The per-time sampler before batching: two chained dots at one s = t/h."""
     if k >= 2 * poly.n:
         return np.zeros(poly.d)
-    T, e, f, D, _ = _sampler(poly, k)
+    T, e, f, D = _sampler(poly, k)
     s = float(t) / poly.h
     return T.dot(s**e * (1.0 - s) ** f).dot(D)
 

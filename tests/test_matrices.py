@@ -582,6 +582,19 @@ def test_exact_inverse_coefficients_match_loop_reference():
         assert _a_inv_coefficients(n) == a_inv_coefficients_reference(n)
 
 
+@pytest.mark.parametrize("h", [Fraction(1), Fraction(2, 7)])
+def test_exact_inverse_coefficients_invert_A(h):
+    # A[i][j] = (n+j)!/(n+j-i)! h**(n+j-i), independent of the triangular factors
+    for n in range(1, N_MAX + 1):
+        A = [[Fraction(math.perm(n + j, i)) * h ** (n + j - i) for j in range(n)]
+             for i in range(n)]
+        c = _a_inv_coefficients(n)
+        A_inv = [[c[i][j] * h ** (j - i - n) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                assert sum(A[i][k] * A_inv[k][j] for k in range(n)) == (i == j), (n, i, j)
+
+
 @pytest.mark.parametrize("h", REFERENCE_H)
 def test_taylor_propagate_matches_loop_reference(h):
     rng = np.random.default_rng(44)
