@@ -68,6 +68,8 @@ def _load_document(path: str):
         raise SchemaError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # too long an integer, too deep a nesting
+        raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
 def _is_number(value) -> bool:

@@ -2,9 +2,9 @@
 
 Nothing here touches the closed-form inverses: linear systems go through
 dense elimination with scaled partial pivoting, the trajectory functional
-is integrated by fixed-node Gauss-Legendre quadrature, and determinants
-come from the elimination pivots.  These are the reference paths the
-closed-form results are validated against.
+is integrated by numpy's Gauss-Legendre rule (companion-matrix eigenvalues
+plus one Newton step), and determinants come from the elimination pivots:
+the reference paths the closed-form results are validated against.
 """
 
 from __future__ import annotations
@@ -21,85 +21,14 @@ from .types import DomainError, SingularMatrixError, TrajectoryPolynomial
 #: against the global matrix norm would misclassify them.
 PIVOT_THRESHOLD = 1e-13
 
-# Gauss-Legendre nodes/weights on [-1, 1], m = 1..16 nodes, 25 significant
-# digits (frozen output of scripts/gen_gauss_legendre.py; m nodes integrate
-# polynomials up to degree 2m-1 exactly).
-_GL_TABLE = {
-    1: (
-        (0.0,),
-        (2.000000000000000000000000,),
-    ),
-    2: (
-        (-0.5773502691896257645091488, 0.5773502691896257645091488),
-        (1.000000000000000000000000, 1.000000000000000000000000),
-    ),
-    3: (
-        (-0.7745966692414833770358531, 0.0, 0.7745966692414833770358531),
-        (0.5555555555555555555555556, 0.8888888888888888888888889, 0.5555555555555555555555556),
-    ),
-    4: (
-        (-0.8611363115940525752239465, -0.3399810435848562648026658, 0.3399810435848562648026658, 0.8611363115940525752239465),
-        (0.3478548451374538573730639, 0.6521451548625461426269361, 0.6521451548625461426269361, 0.3478548451374538573730639),
-    ),
-    5: (
-        (-0.9061798459386639927976269, -0.5384693101056830910363144, 0.0, 0.5384693101056830910363144, 0.9061798459386639927976269),
-        (0.2369268850561890875142640, 0.4786286704993664680412915, 0.5688888888888888888888889, 0.4786286704993664680412915, 0.2369268850561890875142640),
-    ),
-    6: (
-        (-0.9324695142031520278123016, -0.6612093864662645136613996, -0.2386191860831969086305017, 0.2386191860831969086305017, 0.6612093864662645136613996, 0.9324695142031520278123016),
-        (0.1713244923791703450402961, 0.3607615730481386075698335, 0.4679139345726910473898703, 0.4679139345726910473898703, 0.3607615730481386075698335, 0.1713244923791703450402961),
-    ),
-    7: (
-        (-0.9491079123427585245261897, -0.7415311855993944398638648, -0.4058451513773971669066064, 0.0, 0.4058451513773971669066064, 0.7415311855993944398638648, 0.9491079123427585245261897),
-        (0.1294849661688696932706114, 0.2797053914892766679014678, 0.3818300505051189449503698, 0.4179591836734693877551020, 0.3818300505051189449503698, 0.2797053914892766679014678, 0.1294849661688696932706114),
-    ),
-    8: (
-        (-0.9602898564975362316835609, -0.7966664774136267395915539, -0.5255324099163289858177390, -0.1834346424956498049394761, 0.1834346424956498049394761, 0.5255324099163289858177390, 0.7966664774136267395915539, 0.9602898564975362316835609),
-        (0.1012285362903762591525314, 0.2223810344533744705443560, 0.3137066458778872873379622, 0.3626837833783619829651504, 0.3626837833783619829651504, 0.3137066458778872873379622, 0.2223810344533744705443560, 0.1012285362903762591525314),
-    ),
-    9: (
-        (-0.9681602395076260898355762, -0.8360311073266357942994298, -0.6133714327005903973087020, -0.3242534234038089290385380, 0.0, 0.3242534234038089290385380, 0.6133714327005903973087020, 0.8360311073266357942994298, 0.9681602395076260898355762),
-        (0.08127438836157441197189216, 0.1806481606948574040584720, 0.2606106964029354623187429, 0.3123470770400028400686304, 0.3302393550012597631645251, 0.3123470770400028400686304, 0.2606106964029354623187429, 0.1806481606948574040584720, 0.08127438836157441197189216),
-    ),
-    10: (
-        (-0.9739065285171717200779640, -0.8650633666889845107320967, -0.6794095682990244062343274, -0.4333953941292471907992659, -0.1488743389816312108848260, 0.1488743389816312108848260, 0.4333953941292471907992659, 0.6794095682990244062343274, 0.8650633666889845107320967, 0.9739065285171717200779640),
-        (0.06667134430868813759356881, 0.1494513491505805931457763, 0.2190863625159820439955349, 0.2692667193099963550912269, 0.2955242247147528701738930, 0.2955242247147528701738930, 0.2692667193099963550912269, 0.2190863625159820439955349, 0.1494513491505805931457763, 0.06667134430868813759356881),
-    ),
-    11: (
-        (-0.9782286581460569928039380, -0.8870625997680952990751578, -0.7301520055740493240934163, -0.5190961292068118159257257, -0.2695431559523449723315320, 0.0, 0.2695431559523449723315320, 0.5190961292068118159257257, 0.7301520055740493240934163, 0.8870625997680952990751578, 0.9782286581460569928039380),
-        (0.05566856711617366648275372, 0.1255803694649046246346943, 0.1862902109277342514260976, 0.2331937645919904799185237, 0.2628045445102466621806889, 0.2729250867779006307144835, 0.2628045445102466621806889, 0.2331937645919904799185237, 0.1862902109277342514260976, 0.1255803694649046246346943, 0.05566856711617366648275372),
-    ),
-    12: (
-        (-0.9815606342467192506905491, -0.9041172563704748566784659, -0.7699026741943046870368938, -0.5873179542866174472967024, -0.3678314989981801937526915, -0.1252334085114689154724414, 0.1252334085114689154724414, 0.3678314989981801937526915, 0.5873179542866174472967024, 0.7699026741943046870368938, 0.9041172563704748566784659, 0.9815606342467192506905491),
-        (0.04717533638651182719461596, 0.1069393259953184309602547, 0.1600783285433462263346525, 0.2031674267230659217490645, 0.2334925365383548087608499, 0.2491470458134027850005624, 0.2491470458134027850005624, 0.2334925365383548087608499, 0.2031674267230659217490645, 0.1600783285433462263346525, 0.1069393259953184309602547, 0.04717533638651182719461596),
-    ),
-    13: (
-        (-0.9841830547185881494728294, -0.9175983992229779652065478, -0.8015780907333099127942065, -0.6423493394403402206439846, -0.4484927510364468528779129, -0.2304583159551347940655281, 0.0, 0.2304583159551347940655281, 0.4484927510364468528779129, 0.6423493394403402206439846, 0.8015780907333099127942065, 0.9175983992229779652065478, 0.9841830547185881494728294),
-        (0.04048400476531587952002159, 0.09212149983772844791442178, 0.1388735102197872384636018, 0.1781459807619457382800467, 0.2078160475368885023125232, 0.2262831802628972384120902, 0.2325515532308739101945895, 0.2262831802628972384120902, 0.2078160475368885023125232, 0.1781459807619457382800467, 0.1388735102197872384636018, 0.09212149983772844791442178, 0.04048400476531587952002159),
-    ),
-    14: (
-        (-0.9862838086968123388415973, -0.9284348836635735173363911, -0.8272013150697649931897947, -0.6872929048116854701480198, -0.5152486363581540919652907, -0.3191123689278897604356718, -0.1080549487073436620662447, 0.1080549487073436620662447, 0.3191123689278897604356718, 0.5152486363581540919652907, 0.6872929048116854701480198, 0.8272013150697649931897947, 0.9284348836635735173363911, 0.9862838086968123388415973),
-        (0.03511946033175186303183288, 0.08015808715976020980563328, 0.1215185706879031846894148, 0.1572031671581935345696019, 0.1855383974779378137417166, 0.2051984637212956039659241, 0.2152638534631577901958764, 0.2152638534631577901958764, 0.2051984637212956039659241, 0.1855383974779378137417166, 0.1572031671581935345696019, 0.1215185706879031846894148, 0.08015808715976020980563328, 0.03511946033175186303183288),
-    ),
-    15: (
-        (-0.9879925180204854284895657, -0.9372733924007059043077589, -0.8482065834104272162006483, -0.7244177313601700474161861, -0.5709721726085388475372267, -0.3941513470775633698972074, -0.2011940939974345223006283, 0.0, 0.2011940939974345223006283, 0.3941513470775633698972074, 0.5709721726085388475372267, 0.7244177313601700474161861, 0.8482065834104272162006483, 0.9372733924007059043077589, 0.9879925180204854284895657),
-        (0.03075324199611726835462839, 0.07036604748810812470926742, 0.1071592204671719350118695, 0.1395706779261543144478048, 0.1662692058169939335532009, 0.1861610000155622110268006, 0.1984314853271115764561183, 0.2025782419255612728806202, 0.1984314853271115764561183, 0.1861610000155622110268006, 0.1662692058169939335532009, 0.1395706779261543144478048, 0.1071592204671719350118695, 0.07036604748810812470926742, 0.03075324199611726835462839),
-    ),
-    16: (
-        (-0.9894009349916499325961542, -0.9445750230732325760779884, -0.8656312023878317438804679, -0.7554044083550030338951012, -0.6178762444026437484466718, -0.4580167776572273863424194, -0.2816035507792589132304605, -0.09501250983763744018531934, 0.09501250983763744018531934, 0.2816035507792589132304605, 0.4580167776572273863424194, 0.6178762444026437484466718, 0.7554044083550030338951012, 0.8656312023878317438804679, 0.9445750230732325760779884, 0.9894009349916499325961542),
-        (0.02715245941175409485178057, 0.06225352393864789286284384, 0.09515851168249278480992511, 0.1246289712555338720524763, 0.1495959888165767320815017, 0.1691565193950025381893121, 0.1826034150449235888667637, 0.1894506104550684962853967, 0.1894506104550684962853967, 0.1826034150449235888667637, 0.1691565193950025381893121, 0.1495959888165767320815017, 0.1246289712555338720524763, 0.09515851168249278480992511, 0.06225352393864789286284384, 0.02715245941175409485178057),
-    ),
-}
-
-MAX_NODES = max(_GL_TABLE)
+MAX_NODES = 16
 
 
 def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen nodes and weights on [-1, 1] for an m-node rule (m <= 16)."""
+    """numpy's m-node Gauss-Legendre rule on [-1, 1], exact to degree 2m-1."""
     if m < 1 or m > MAX_NODES:
         raise DomainError(f"node count out of range: {m} (supported 1..{MAX_NODES})")
-    nodes, weights = _GL_TABLE[m]
-    return np.array(nodes), np.array(weights)
+    return np.polynomial.legendre.leggauss(m)
 
 
 def _eliminate(a: np.ndarray, rhs: np.ndarray | None):

@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msdcost
 from conftest import ENVELOPE, envelope_stacks
@@ -260,12 +261,18 @@ BEYOND_DOUBLE = 10**400  # a JSON integer literal no float holds
         (["cost"], dict(PROBLEM, d=2**64), 2),
         (["transport"], {"n": 1, "h": 1.0, "d": 10**15, "mu": [[[0.0]]],
                          "nu": [[[0.0]]]}, 2),
+        # raw text json.dumps cannot write: nesting past the recursion limit,
+        # and an integer literal past Python's 4,300-digit conversion limit
+        (["cost"], "[" * 100_000, 2),
+        (["trajectory"], json.dumps(PROBLEM)[:-1] + ', "samples": {"k": ' + "9" * 5000 + "}}", 2),
     ],
     ids=["cost-x", "cost-h", "trajectory-times", "transport-mu",
-         "cost-d-1e15", "cost-d-2**64", "transport-d-1e15"],
+         "cost-d-1e15", "cost-d-2**64", "transport-d-1e15",
+         "cost-deep-nesting", "trajectory-k-5000-digits"],
 )
 def test_out_of_range_numbers_and_sizes_exit_cleanly(args, doc, code, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     assert main(args) == code
     out, err = capsys.readouterr()
     assert out == ""
@@ -636,3 +643,63 @@ def test_cli_envelope_prints_one_strict_document_or_refuses(n, log10_h, d, seed)
             json.loads(out.getvalue(), parse_constant=refuse_constant)
         else:
             assert out.getvalue() == "" and err.getvalue().startswith("error: "), args
+
+
+# ------------------------------------------- structural fuzz: exit 0, 2 or 3 only
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+NUMBERS = st.integers(-3, 3) | st.floats(-1e3, 1e3) | st.floats()
+
+
+def stacks(n, d):
+    return st.lists(st.lists(NUMBERS, min_size=d, max_size=d), min_size=n, max_size=n)
+
+
+@st.composite
+def cli_documents(draw):
+    """An arbitrary JSON value, or an object whose documented fields are
+    each well formed, arbitrary or absent."""
+    if draw(st.booleans()):
+        return draw(JSON_VALUES)
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    fields = {
+        "n": st.just(n),
+        "h": st.floats(0.01, 100.0) | st.floats(),
+        "d": st.just(d),
+        "x": stacks(n, d),
+        "y": stacks(n, d),
+        "samples": st.fixed_dictionaries({}, optional={
+            "k": st.integers(0, 2 * n) | JSON_VALUES,
+            "count": st.integers(-1, 20) | JSON_VALUES,
+            "times": st.lists(NUMBERS, max_size=3) | JSON_VALUES,
+        }),
+        "mu": st.lists(stacks(n, d), min_size=1, max_size=3),
+        "nu": st.lists(stacks(n, d), min_size=1, max_size=3),
+    }
+    doc = {}
+    for name, well_formed in fields.items():
+        kind = draw(st.integers(0, 5))  # 0 absent, 1 arbitrary, else well formed
+        if kind:
+            doc[name] = draw(JSON_VALUES if kind == 1 else well_formed)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=cli_documents(), command=st.sampled_from(["cost", "trajectory", "transport"]))
+def test_cli_exits_0_2_or_3_on_any_json_document(doc, command):
+    out, err = io.StringIO(), io.StringIO()
+    # a lower sample cap keeps an arbitrary samples.count from running long
+    with mock.patch.object(cli_module, "MAX_SAMPLES", 64), \
+            mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command])
+    assert code in (0, 2, 3)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=refuse_constant)
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
