@@ -10,8 +10,6 @@ optimal transport with the cost as ground metric.
 from .cost import (
     ROUTES,
     cost,
-    cost_scaled,
-    cost_via_K,
     eval_trajectory,
     free_flight_target,
     hessian,
@@ -73,8 +71,6 @@ __all__ = [
     "build_V",
     "build_b",
     "cost",
-    "cost_scaled",
-    "cost_via_K",
     "det_A",
     "elimination_det",
     "eval_trajectory",

@@ -1,8 +1,8 @@
 """Cost evaluation routes, optimal trajectories, and qualitative predicates.
 
 The minimum of the integrated squared n-th derivative over curves joining
-two derivative stacks is a quadratic form in the gap vector b.  Three
-evaluation routes are provided:
+two derivative stacks is a quadratic form in the gap vector b.  Its three
+evaluation routes are the one table ``_ROUTE_TOTALS``, keyed by ``ROUTES``:
 
 * ``algorithm51`` (default): b^T B A^-1 b with the closed-form inverse,
   summed over spatial dimensions.
@@ -38,8 +38,6 @@ from .types import (
     _check_order,
     _trusted,
 )
-
-ROUTES = ("algorithm51", "kform", "scaled")
 
 #: Totals in [-NEGATIVE_CLAMP, 0) are rounding noise on a nonnegative form
 #: and are reported as 0; anything more negative is a real inconsistency.
@@ -103,6 +101,7 @@ def _kform_total(n: int, h: float, b: np.ndarray) -> float:
     g_j = G_j p**j q**(n-1-j) give the cost as
     q sum_i (2i+1) (R g)_i**2 / (p**(2n-1) D**2), a correctly rounded division.
     """
+    _check_gap(b)  # first, as an exact int cannot hold an inf
     p, q = h.as_integer_ratio()
     ratios = [v.as_integer_ratio() for v in b.ravel().tolist()]
     D = max(den for _, den in ratios)
@@ -119,15 +118,21 @@ def _kform_total(n: int, h: float, b: np.ndarray) -> float:
 def _scaled_total(n: int, h: float, b: np.ndarray) -> float:
     p = _powers(h, 1 - 2 * n, n - 1)  # h**(1-2n), ..., h**(n-1)
     row_scale = np.array(p[2 * n - 1 :])[:, None]
-    return p[0] * form_totals(form_matrix(n, 1.0), b * row_scale)
+    return float(p[0] * form_totals(form_matrix(n, 1.0), b * row_scale))
 
 
-_GAP_OVERFLOW = "gap vector b is beyond double precision"
+#: The routes, one table: each maps (n, h, b) to its total of the cost form.
+_ROUTE_TOTALS = {
+    "algorithm51": lambda n, h, b: float(form_totals(form_matrix(n, h), b)),
+    "kform": _kform_total,
+    "scaled": _scaled_total,
+}
+ROUTES = tuple(_ROUTE_TOTALS)
 
 
 def _check_gap(b: np.ndarray) -> None:
     if not np.isfinite(b).all():
-        raise DomainError(_GAP_OVERFLOW)
+        raise DomainError("gap vector b is beyond double precision")
 
 
 def cost(problem: CostProblem, route: str = "algorithm51") -> CostBreakdown:
@@ -136,47 +141,35 @@ def cost(problem: CostProblem, route: str = "algorithm51") -> CostBreakdown:
     Deterministic for fixed inputs; all routes share the same gap vector b.
     ``CostProblem`` validated the order, horizon and shapes when built.
 
-    A non-finite gap b raises DomainError on every route.  The float routes
-    check b only when their total is not a finite nonnegative number: the
-    form's diagonal is positive, so an inf or nan anywhere in b reaches the
-    total.  ``kform`` checks b first, since its exact evaluation cannot take
-    an inf.  A finite nonnegative total is returned as it is; any other
+    A non-finite gap b raises DomainError on every route, and on an
+    unknown route before the route is refused.  The float routes check b
+    only when their total is not a finite nonnegative number: the form's
+    diagonal is positive, so an inf or nan anywhere in b reaches the
+    total.  A finite nonnegative total is returned as it is; any other
     total goes through ``finalize_totals``.
     """
     n, h = problem.n, problem.h
     # an overflow shows as a non-finite total, which finalize_totals refuses
     with np.errstate(over="ignore", invalid="ignore"):
         b = build_b(problem)
-        if route == "algorithm51":
-            total = float(form_totals(form_matrix(n, h), b))
-        elif route == "kform":
+        if route not in ROUTES:  # a tuple test, so an unhashable route is refused too
             _check_gap(b)
-            total = _kform_total(n, h, b)
-        elif route == "scaled":
-            total = float(_scaled_total(n, h, b))
-        else:
-            _check_gap(b)  # an overflowing gap is reported first, whatever the route
             raise DomainError(f"unknown cost route {route!r}, expected one of {ROUTES}")
+        total = _ROUTE_TOTALS[route](n, h, b)
     if 0.0 <= total < math.inf:
         return CostBreakdown(total, route, b)
     _check_gap(b)
     return CostBreakdown(float(finalize_totals(total)), route, b, total < 0.0)
 
 
-def cost_via_K(problem: CostProblem) -> float:
-    """Cost through the exact route: the Legendre sum of squares a^T K a (``kform``)."""
-    return cost(problem, route="kform").total
-
-
-def cost_scaled(problem: CostProblem) -> float:
-    """Cost through the h = 1 rescaled route, times h**(1-2n)."""
-    return cost(problem, route="scaled").total
-
-
 def hessian(n: int, h: float) -> np.ndarray:
-    """Symmetric positive-definite matrix H of the cost form b^T H b (a fresh array)."""
-    M = form_matrix(n, h)
-    return 0.5 * (M + M.T)
+    """Fresh symmetric positive-definite H of the cost form b^T H b, finite or refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = form_matrix(n, h)
+        H = 0.5 * (M + M.T)
+    if not np.isfinite(H).all():
+        raise DomainError(f"hessian at n={n}, h={h} is beyond double precision")
+    return H
 
 
 def solve_trajectory(problem: CostProblem) -> TrajectoryPolynomial:
@@ -265,6 +258,8 @@ def eval_trajectory(poly: TrajectoryPolynomial, k: int, t) -> np.ndarray:
     overflow warnings off and then checked: a sample beyond double
     precision raises DomainError naming the first such t.
     """
+    if not isinstance(k, (int, np.integer)):
+        raise DomainError(f"derivative order must be an integer, got k={k!r}")
     if k < 0:
         raise DomainError(f"derivative order must be nonnegative, got k={k}")
     times = np.asarray(t, dtype=float)

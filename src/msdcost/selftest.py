@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matrices as mats
-from .cost import cost, free_flight_target, solve_trajectory
+from .cost import ROUTES, cost, free_flight_target, solve_trajectory
 from .oracle import elimination_det, quadrature_cost
 from .types import BoundaryState, CostProblem, DomainError, make_problem
 
@@ -204,12 +204,8 @@ def _roundtrip_checks() -> list[CheckResult]:
         ref = cost(p).total
         quad = quadrature_cost(solve_trajectory(p))
         err_quad = max(err_quad, abs(quad - ref) / (1.0 + ref))
-        k = cost(p, route="kform").total
-        s = cost(p, route="scaled").total
-        scale = max(ref, k, s, 1e-300)
-        err_routes = max(
-            err_routes, abs(ref - k) / scale, abs(ref - s) / scale, abs(k - s) / scale
-        )
+        totals = [cost(p, route=r).total for r in ROUTES]
+        err_routes = max(err_routes, (max(totals) - min(totals)) / max(*totals, 1e-300))
     return [
         CheckResult("cost-trajectory-roundtrip", err_quad, 1e-8),
         CheckResult("route-agreement", err_routes, 1e-8),
@@ -249,24 +245,34 @@ def run_selftest(inject_failure: str | None = None) -> list[CheckResult]:
 
 
 def git_sha(start: Path) -> str | None:
-    """Commit checked out in the nearest ``.git`` directory above ``start``.
+    """Commit checked out in the nearest ``.git`` entry above ``start``.
 
     Read from ``HEAD`` and the loose or packed ref it names, without
-    running git.  None when there is no such directory or it cannot be
-    read.
+    running git.  A ``.git`` file (a linked worktree or a submodule) names
+    the git directory on its ``gitdir:`` line; refs are read there or in
+    the directory its ``commondir`` file names.  None when there is no
+    such entry or it cannot be read.
     """
     checkouts = (p / ".git" for p in (start, *start.parents))
-    git = next((g for g in checkouts if g.is_dir()), None)
+    git = next((g for g in checkouts if g.exists()), None)
     if git is None:
         return None
     try:
+        if git.is_file():
+            line = git.read_text().strip()
+            if not line.startswith("gitdir: "):
+                return None
+            git = git.parent / line[8:]
+        shared = git / "commondir"
+        common = git / shared.read_text().strip() if shared.is_file() else git
         head = (git / "HEAD").read_text().strip()
         if not head.startswith("ref: "):
             return head
         ref = head[5:]
-        if (git / ref).is_file():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
+        for refs in (git, common):
+            if (refs / ref).is_file():
+                return (refs / ref).read_text().strip()
+        for line in (common / "packed-refs").read_text().splitlines():
             if line.endswith(" " + ref):
                 return line.split()[0]
     except OSError:

@@ -23,8 +23,6 @@ from msdcost import (
     build_U,
     build_U_inv,
     cost,
-    cost_scaled,
-    cost_via_K,
     det_A,
     elimination_det,
     free_flight_target,
@@ -207,8 +205,8 @@ def test_criterion_05_oracle_equivalence():
         ref = cost(p).total
         quad = quadrature_cost(solve_trajectory(p))
         worst_quad = max(worst_quad, abs(quad - ref) / (1.0 + ref))
-        k = cost_via_K(p)
-        s = cost_scaled(p)
+        k = cost(p, route="kform").total
+        s = cost(p, route="scaled").total
         scale = max(ref, k, s, 1e-300)
         worst_routes = max(
             worst_routes,

@@ -279,6 +279,31 @@ def test_out_of_range_numbers_and_sizes_exit_cleanly(args, doc, code, monkeypatc
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+TRANSPORT = {"n": 1, "h": 1.0, "d": 1, "mu": [[[0.0]]], "nu": [[[0.0]]]}
+
+
+@pytest.mark.parametrize(
+    "args, doc, code, field",
+    [
+        (["cost"], dict(PROBLEM, x=5), 2, "field 'x' must be an array"),
+        (["cost"], dict(PROBLEM, x=[[0], ["a"]]), 2, "x[1][0] must be a number"),
+        (["cost"], dict(PROBLEM, d=0, x=[[], []], y=[[], []]), 3, "field 'd'"),
+        (["trajectory"], dict(PROBLEM, samples=[]), 2, "field 'samples'"),
+        (["trajectory"], dict(PROBLEM, samples={"k": -1}), 3, "'samples.k'"),
+        (["trajectory"], dict(PROBLEM, samples={"times": [0.5, "a"]}), 2,
+         "samples.times[1] must be a number"),
+        (["trajectory"], dict(PROBLEM, samples={"count": 0}), 3, "'samples.count'"),
+        (["transport"], dict(TRANSPORT, mu=[]), 2, "field 'mu'"),
+    ],
+    ids=["x-not-array", "x-entry", "d-zero", "samples-not-object", "samples-k",
+         "samples-times-entry", "samples-count", "transport-mu-empty"],
+)
+def test_refusals_exit_with_the_field_named(args, doc, code, field, monkeypatch, capsys):
+    got, out, err = run_cli(args, doc, monkeypatch, capsys)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+
 def test_undecodable_input_exits_2(tmp_path, monkeypatch, capsys):
     path = tmp_path / "problem.json"
     path.write_bytes(b"\xff\xfe{")
@@ -458,6 +483,21 @@ def test_consistency_error_exits_3(args, module, totals, monkeypatch, capsys):
     assert err == "error: cost evaluated to -1.0, far below zero for a nonnegative form\n"
 
 
+def test_cost_reports_a_clamped_total(monkeypatch, capsys):
+    # a total in [-NEGATIVE_CLAMP, 0) is rounding noise: reported as 0 and flagged
+    cost_module = importlib.import_module("msdcost.cost")
+    monkeypatch.setattr(cost_module, "form_totals", lambda M, G: np.float64(-1e-12))
+    code, out, err = run_cli(["cost"], PROBLEM, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["cost"] == 0.0
+    assert payload["clamped"] is True
+
+
+def test_route_flags_name_every_cost_route():
+    assert set(cli_module._ROUTE_FLAGS.values()) == set(msdcost.ROUTES)
+
+
 # -------------------------------------------------------------- transport
 
 
@@ -568,6 +608,36 @@ def test_git_sha_reads_head_without_git(tmp_path):
     assert git_sha(inner) == sha[::-1]  # a loose ref wins
     (git / "HEAD").write_text(sha + "\n")
     assert git_sha(inner) == sha  # detached HEAD
+
+
+def test_git_sha_follows_a_gitdir_file(tmp_path):
+    # a linked worktree or submodule inside another checkout: its .git is a
+    # file, and the enclosing checkout's commit must never be reported
+    sha = "0123456789abcdef0123456789abcdef01234567"
+    outer = tmp_path / ".git"
+    (outer / "refs" / "heads").mkdir(parents=True)
+    (outer / "HEAD").write_text("ref: refs/heads/main\n")
+    (outer / "refs" / "heads" / "main").write_text(sha[::-1] + "\n")
+    tree = tmp_path / "tree"
+    inner = tree / "src" / "pkg"
+    inner.mkdir(parents=True)
+    (tree / ".git").write_text("gitdir: ../gitdirs/tree\n")
+    assert git_sha(inner) is None  # the named git directory is missing
+    gitdir, common = tmp_path / "gitdirs" / "tree", tmp_path / "common"
+    gitdir.mkdir(parents=True)
+    (common / "refs" / "heads").mkdir(parents=True)
+    (gitdir / "HEAD").write_text("ref: refs/heads/wt\n")
+    (gitdir / "commondir").write_text("../../common\n")
+    (common / "packed-refs").write_text(f"{sha} refs/heads/wt\n")
+    assert git_sha(inner) == sha  # packed ref in the common directory
+    (common / "refs" / "heads" / "wt").write_text(sha.upper() + "\n")
+    assert git_sha(inner) == sha.upper()  # loose ref in the common directory
+    (tree / ".git").write_text(f"gitdir: {gitdir}\n")
+    assert git_sha(inner) == sha.upper()  # an absolute gitdir
+    (gitdir / "HEAD").write_text(sha + "\n")
+    assert git_sha(inner) == sha  # detached HEAD
+    (tree / ".git").write_text("not a pointer\n")
+    assert git_sha(inner) is None
 
 
 # ----------------------------------------------------------- subprocess

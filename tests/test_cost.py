@@ -21,8 +21,6 @@ from msdcost import (
     TrajectoryPolynomial,
     build_b,
     cost,
-    cost_scaled,
-    cost_via_K,
     eval_trajectory,
     free_flight_target,
     hessian,
@@ -122,28 +120,28 @@ def test_cost_via_K_examples():
     for n, want in REST_TO_REST.items():
         if n == 1:
             continue
-        assert cost_via_K(rest_problem(n)) == pytest.approx(want, rel=1e-12)
+        assert cost(rest_problem(n), route="kform").total == pytest.approx(want, rel=1e-12)
     free = make_problem(1.0, [0.0, 1.0], [1.0, 1.0])
-    assert abs(cost_via_K(free)) <= 1e-12
+    assert abs(cost(free, route="kform").total) <= 1e-12
 
 
 def test_cost_via_K_matches_default_route():
     rng = np.random.default_rng(5)
     p = make_problem(0.7, rng.uniform(-5, 5, (5, 3)), rng.uniform(-5, 5, (5, 3)))
     ref = cost(p).total
-    assert abs(cost_via_K(p) - ref) <= 1e-9 * ref
+    assert abs(cost(p, route="kform").total - ref) <= 1e-9 * ref
 
 
 def test_cost_scaled_examples():
-    assert cost_scaled(rest_problem(2, h=2.0)) == pytest.approx(1.5, rel=1e-12)
-    assert cost_scaled(rest_problem(3, h=0.5)) == pytest.approx(23040.0, rel=1e-12)
+    assert cost(rest_problem(2, h=2.0), route="scaled").total == pytest.approx(1.5, rel=1e-12)
+    assert cost(rest_problem(3, h=0.5), route="scaled").total == pytest.approx(23040.0, rel=1e-12)
 
 
 def test_cost_scaled_bit_identical_at_unit_horizon():
     rng = np.random.default_rng(11)
     for n in (1, 3, 6):
         p = make_problem(1.0, rng.uniform(-5, 5, (n, 2)), rng.uniform(-5, 5, (n, 2)))
-        assert cost_scaled(p) == cost(p).total
+        assert cost(p, route="scaled").total == cost(p).total
 
 
 # --------------------------------------------------------------- hessian
@@ -181,6 +179,14 @@ def test_telescoping_difference_has_rank_one():
             embedded[1:, 1:] = hessian(n - 1, h)
             sv = np.linalg.svd(full - embedded, compute_uv=False)
             assert sv[1] <= 1e-8 * sv[0]
+
+
+@pytest.mark.parametrize("n, h", [(12, 1e30), (12, 1e-30), (4, 1e200)])
+def test_hessian_beyond_double_precision_is_refused(n, h):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(f"hessian at n={n}, h={h}")):
+            hessian(n, h)
 
 
 # ------------------------------------------------------------ trajectory
@@ -250,6 +256,14 @@ def test_eval_trajectory_rejects_negative_order():
     poly = solve_trajectory(rest_problem(2))
     with pytest.raises(DomainError):
         eval_trajectory(poly, -1, 0.5)
+
+
+@pytest.mark.parametrize("k", [1.5, 1.0, "1", None])
+def test_eval_trajectory_refuses_a_non_integer_order(k):
+    poly = solve_trajectory(rest_problem(2))
+    with pytest.raises(DomainError, match=re.escape(f"must be an integer, got k={k!r}")):
+        eval_trajectory(poly, k, 0.5)
+    assert (eval_trajectory(poly, np.int64(1), 0.5) == eval_trajectory(poly, 1, 0.5)).all()
 
 
 SAMPLER_HORIZONS = (1e-3, 1e-2, 0.37, 1.0, 100.0, 1e3)
@@ -382,6 +396,12 @@ def test_trajectory_polynomial_endpoint_stacks():
         TrajectoryPolynomial(n=2, h=0.0, d=1, coeffs=np.zeros((4, 1)))
 
 
+def test_trajectory_polynomial_promotes_one_dimensional_coefficients():
+    poly = TrajectoryPolynomial(n=2, h=1.0, d=1, coeffs=[0, 0, 3, -2])
+    assert poly.coeffs.shape == (4, 1)
+    assert poly == TrajectoryPolynomial(n=2, h=1.0, d=1, coeffs=[[0], [0], [3], [-2]])
+
+
 def test_trajectory_sample_overflow_names_time():
     poly = solve_trajectory(rest_problem(2))
     with warnings.catch_warnings():
@@ -497,8 +517,8 @@ def test_reduce_order_preserves_free_flight():
 def test_route_equivalence(random_problem_set):
     for p in random_problem_set:
         ref = cost(p).total
-        k = cost_via_K(p)
-        s = cost_scaled(p)
+        k = cost(p, route="kform").total
+        s = cost(p, route="scaled").total
         scale = max(ref, k, s, 1e-300)
         assert abs(ref - k) <= 1e-8 * scale
         assert abs(ref - s) <= 1e-8 * scale
