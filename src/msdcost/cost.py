@@ -258,7 +258,7 @@ def eval_trajectory(poly: TrajectoryPolynomial, k: int, t) -> np.ndarray:
     overflow warnings off and then checked: a sample beyond double
     precision raises DomainError naming the first such t.
     """
-    if not isinstance(k, (int, np.integer)):
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise DomainError(f"derivative order must be an integer, got k={k!r}")
     if k < 0:
         raise DomainError(f"derivative order must be nonnegative, got k={k}")

@@ -254,14 +254,15 @@ def build_A_inv(n: int, h: float) -> np.ndarray:
     return _tabulate(_a_inv_entry, n, h)
 
 
-@lru_cache(maxsize=_HORIZON_CACHE_SIZE)
+@lru_cache(maxsize=_HORIZON_CACHE_SIZE, typed=True)
 def form_matrix(n: int, h: float) -> np.ndarray:
     """The cost form B(h) @ A(h)^-1, read-only and cached per (n, h).
 
     The cost of a gap b is sum_k b_k^T M b_k over its columns.  Every
     caller of the product goes through here, so a horizon used again
     costs one cache lookup.  The order and horizon are checked on a miss;
-    an invalid pair raises and is never cached.  At most
+    an invalid pair raises and is never cached.  Keys are typed, so an
+    order True or 1.0 misses the entry of 1 and is refused.  At most
     ``_HORIZON_CACHE_SIZE`` (n, h) pairs are kept, least recently used
     first out.
     """

@@ -35,7 +35,7 @@ N_MAX = 12
 
 
 def _check_order(n: int) -> int:
-    if not isinstance(n, (int, np.integer)):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise DomainError(f"order must be an integer, got {n!r}")
     if n < 1 or n > N_MAX:
         raise DomainError(f"order out of range: n={n} (supported 1..{N_MAX})")
@@ -231,33 +231,30 @@ class DiscreteMeasure:
     """Uniformly weighted point set in boundary-state space (weights 1/m).
 
     ``values`` is one read-only (m, n, d) array: ``values[k]`` is the
-    derivative stack of point k.  ``DiscreteMeasure(points)`` stacks a
-    sequence of BoundaryState; ``from_array`` takes the array directly and
-    builds no BoundaryState.  ``points`` gives the BoundaryState view,
-    built on each access.
+    derivative stack of point k.  An (m, n) input is promoted to d = 1.
+    The values are copied, checked once and frozen.
     """
 
     values: np.ndarray
 
     __eq__ = _value_eq
 
-    def __init__(self, points):
-        pts = tuple(points)
-        if not pts:
+    def __init__(self, values):
+        a = np.array(values, dtype=float, copy=True)
+        if a.ndim == 2:
+            a = a[:, :, None]
+        if a.ndim != 3:
+            raise DomainError(f"expected an (m, n, d) array, got shape {a.shape}")
+        if a.shape[0] < 1:
             raise DomainError("a discrete measure needs at least one point")
-        n, d = pts[0].n, pts[0].d
-        for k, p in enumerate(pts):
-            if p.n != n or p.d != d:
-                raise DomainError(
-                    f"measure point {k} has shape {(p.n, p.d)}, expected {(n, d)}"
-                )
-        values = np.stack([p.values for p in pts])
-        values.setflags(write=False)
-        vars(self).update(values=values)
-
-    @property
-    def points(self) -> tuple[BoundaryState, ...]:
-        return tuple(BoundaryState(v) for v in self.values)
+        if a.shape[1] < 1 or a.shape[2] < 1:
+            raise DomainError(
+                f"boundary values must be an (n, d) array, got shape {a.shape[1:]}"
+            )
+        if not np.isfinite(a).all():
+            raise DomainError("boundary values must be finite")
+        a.setflags(write=False)
+        vars(self).update(values=a)
 
     @property
     def m(self) -> int:
@@ -273,22 +270,5 @@ class DiscreteMeasure:
 
     @classmethod
     def from_array(cls, arr) -> "DiscreteMeasure":
-        """Build from an (m, n, d) array (or (m, n), promoted to d=1).
-
-        The values are copied, checked once and frozen.
-        """
-        a = np.array(arr, dtype=float, copy=True)
-        if a.ndim == 2:
-            a = a[:, :, None]
-        if a.ndim != 3:
-            raise DomainError(f"expected an (m, n, d) array, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise DomainError("a discrete measure needs at least one point")
-        if a.shape[1] < 1 or a.shape[2] < 1:
-            raise DomainError(
-                f"boundary values must be an (n, d) array, got shape {a.shape[1:]}"
-            )
-        if not np.isfinite(a).all():
-            raise DomainError("boundary values must be finite")
-        a.setflags(write=False)
-        return _trusted(cls, values=a)
+        """The same as ``DiscreteMeasure(arr)``, kept for the callers of this name."""
+        return cls(arr)

@@ -75,6 +75,24 @@ def test_cost_free_flight_flag(monkeypatch, capsys):
     assert payload["free_flight"] is True
 
 
+NEAR_FREE_FLIGHT = {"n": 2, "h": 1, "d": 1, "x": [[0], [1]], "y": [[1.00000001], [1]]}
+
+
+def test_cost_tol_sets_the_free_flight_tolerance(monkeypatch, capsys):
+    for args, free in ((["cost"], False), (["cost", "--tol", "1e-6"], True)):
+        code, out, _ = run_cli(args, NEAR_FREE_FLIGHT, monkeypatch, capsys)
+        assert code == 0
+        assert json.loads(out)["free_flight"] is free
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_cost_tol_must_be_positive(tol, monkeypatch, capsys):
+    code, out, err = run_cli(["cost", "--tol", tol], NEAR_FREE_FLIGHT, monkeypatch, capsys)
+    assert code == 3
+    assert out == ""
+    assert "tolerance must be positive" in err
+
+
 def test_cost_domain_error_names_field(monkeypatch, capsys):
     bad = dict(PROBLEM, n=0, x=[], y=[])
     code, out, err = run_cli(["cost"], bad, monkeypatch, capsys)

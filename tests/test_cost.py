@@ -28,6 +28,7 @@ from msdcost import (
     make_problem,
     reduce_order,
     solve_trajectory,
+    taylor_propagate,
 )
 from msdcost.cost import (
     NEGATIVE_CLAMP,
@@ -100,6 +101,10 @@ def test_value_types_refuse_an_order_at_construction():
     x = BoundaryState([0.0, 1.0])
     with pytest.raises(DomainError, match="must be an integer"):
         CostProblem(n=2.0, h=1.0, d=1, start=x, end=x)
+    with pytest.raises(DomainError, match="must be an integer, got True"):
+        CostProblem(n=True, h=1.0, d=1, start=BoundaryState([0.0]), end=BoundaryState([1.0]))
+    with pytest.raises(DomainError, match="must be an integer, got True"):
+        TrajectoryPolynomial(True, 1.0, 1, [[0.0], [1.0]])
 
 
 @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
@@ -258,7 +263,7 @@ def test_eval_trajectory_rejects_negative_order():
         eval_trajectory(poly, -1, 0.5)
 
 
-@pytest.mark.parametrize("k", [1.5, 1.0, "1", None])
+@pytest.mark.parametrize("k", [1.5, 1.0, "1", None, True])
 def test_eval_trajectory_refuses_a_non_integer_order(k):
     poly = solve_trajectory(rest_problem(2))
     with pytest.raises(DomainError, match=re.escape(f"must be an integer, got k={k!r}")):
@@ -352,6 +357,37 @@ def test_trajectory_interior_matches_exact_hermite():
                         want = exact_derivative(exact[c], k, t)
                         err = abs(Fraction(got[c]) - want) / max(1, abs(want))
                         assert err <= 1e-10, (n, h, t, k, float(err))
+
+
+def test_trajectory_upper_derivatives_match_exact_hermite_of_the_float_gap():
+    # for k >= n only the float gap b enters, so the reference is the exact
+    # interpolant whose end stack is the exact Taylor image of x plus that b;
+    # worst measured: 6.0e-7 relative at n = 12, h = 100
+    rng = np.random.default_rng(611)
+    for n in range(1, 13):
+        for h in SAMPLER_HORIZONS:
+            x, y = rng.uniform(-5, 5, (n, 2)), rng.uniform(-5, 5, (n, 2))
+            poly = solve_trajectory(make_problem(h, x, y))
+            b = poly.end - taylor_propagate(poly.start, h)
+            hf = Fraction(h)
+            exact = []
+            for c in range(2):
+                image = [
+                    sum(hf ** (i - j) / math.factorial(i - j) * Fraction(x[i, c]) for i in range(j, n))
+                    for j in range(n)
+                ]
+                end = [v + Fraction(g) for v, g in zip(image, b[:, c])]
+                exact.append(exact_hermite_coefficients(h, x[:, c], end))
+            for k in range(n, 2 * n):
+                got, want = [], []
+                for t in (0.3 * h, 0.77 * h):
+                    sample = eval_trajectory(poly, k, t)
+                    for c in range(2):
+                        got.append(Fraction(sample[c]))
+                        want.append(exact_derivative(exact[c], k, t))
+                scale = max(abs(w) for w in want)
+                err = max(abs(g - w) for g, w in zip(got, want)) / scale
+                assert err <= 6e-6, (n, h, k, float(err))
 
 
 def test_trajectory_free_flight_upper_derivatives_are_exact_zeros():

@@ -24,6 +24,7 @@ from msdcost import (
     build_b,
     det_A,
     h_power_table,
+    hessian,
     eval_trajectory,
     make_problem,
     solve_trajectory,
@@ -159,10 +160,10 @@ def test_det_A_refuses_a_value_outside_the_normal_doubles(n, h):
 # ------------------------------------------------------------- validation
 
 
-@pytest.mark.parametrize("bad_n", [0, -1, N_MAX + 1])
+@pytest.mark.parametrize("bad_n", [0, -1, N_MAX + 1, True])
 def test_order_out_of_range(bad_n):
     for builder in (build_A, build_V, build_B, build_L, build_U,
-                    build_L_inv, build_U_inv, build_A_inv, build_K, det_A):
+                    build_L_inv, build_U_inv, build_A_inv, build_K, det_A, hessian):
         with pytest.raises(DomainError):
             builder(bad_n, 1.0)
 
@@ -341,7 +342,7 @@ def test_value_types_compare_by_value():
     x, y = [[1.0, 2.0], [0.5, -1.0]], [[3.0, 0.0], [1.0, 1.0]]
     z = [[3.0, 0.0], [1.0, 1.5]]  # y with one entry changed
     sampled = solve_trajectory(make_problem(0.5, x, y))
-    eval_trajectory(sampled, 1, 0.25)  # fills the sampler memo, which is not compared
+    eval_trajectory(sampled, 1, 0.25)  # sampling leaves the value as it was
     cases = [
         (BoundaryState(x), BoundaryState(np.array(x)), BoundaryState(z)),
         (make_problem(0.5, x, y), make_problem(0.5, x, y), make_problem(0.5, x, z)),
@@ -354,7 +355,7 @@ def test_value_types_compare_by_value():
         (sampled, solve_trajectory(make_problem(0.5, x, y)), solve_trajectory(make_problem(0.5, x, z))),
         (
             DiscreteMeasure.from_array([x, y]),
-            DiscreteMeasure((BoundaryState(x), BoundaryState(y))),
+            DiscreteMeasure([BoundaryState(x).values, BoundaryState(y).values]),
             DiscreteMeasure.from_array([x, z]),
         ),
     ]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -25,7 +26,7 @@ def rest_measure(positions, n):
         values = np.zeros((n, 1))
         values[0, 0] = pos
         pts.append(BoundaryState(values))
-    return DiscreteMeasure(tuple(pts))
+    return DiscreteMeasure([s.values for s in pts])
 
 
 def brute_force_minimum(costs):
@@ -165,7 +166,9 @@ def test_ground_cost_free_flight_diagonal():
     h = 1.3
     starts = [BoundaryState(rng.uniform(-2, 2, (3, 2))) for _ in range(4)]
     targets = [free_flight_target(3, h, s) for s in starts]
-    costs = ground_cost_matrix(DiscreteMeasure(tuple(starts)), DiscreteMeasure(tuple(targets)), h)
+    costs = ground_cost_matrix(
+        DiscreteMeasure([s.values for s in starts]), DiscreteMeasure([s.values for s in targets]), h
+    )
     np.testing.assert_allclose(np.diag(costs), np.zeros(4), atol=1e-12)
 
 
@@ -185,7 +188,7 @@ def test_ground_cost_matches_cost_bitwise():
     costs = ground_cost_matrix(mu, nu, h)
     for i in range(5):
         for j in range(5):
-            direct = cost(make_problem(h, mu.points[i].values, nu.points[j].values)).total
+            direct = cost(make_problem(h, mu.values[i], nu.values[j])).total
             assert costs[i, j] == direct
 
 
@@ -199,7 +202,7 @@ def test_ground_cost_matches_cost_bitwise_grid(n, d, h):
     costs = ground_cost_matrix(mu, nu, h)
     for i in range(4):
         for j in range(4):
-            direct = cost(make_problem(h, mu.points[i].values, nu.points[j].values)).total
+            direct = cost(make_problem(h, mu.values[i], nu.values[j])).total
             assert costs[i, j] == direct
 
 
@@ -345,8 +348,8 @@ def test_w2_zero_for_free_flight_image():
     targets = [free_flight_target(2, h, s) for s in starts]
     # shuffle the targets: a zero-cost perfect matching still exists
     order = rng.permutation(6)
-    nu = DiscreteMeasure(tuple(targets[i] for i in order))
-    value, assignment = w2_uniform(DiscreteMeasure(tuple(starts)), nu, h)
+    nu = DiscreteMeasure([targets[i].values for i in order])
+    value, assignment = w2_uniform(DiscreteMeasure([s.values for s in starts]), nu, h)
     assert value <= 1e-12
     np.testing.assert_array_equal(assignment, np.argsort(order))
 
@@ -372,8 +375,8 @@ def test_w2_invariant_under_reordering():
     nu = DiscreteMeasure.from_array(rng.uniform(-3, 3, (6, 2, 2)))
     base, _ = w2_uniform(mu, nu, 1.1)
     for _ in range(4):
-        mu_perm = DiscreteMeasure(tuple(mu.points[i] for i in rng.permutation(6)))
-        nu_perm = DiscreteMeasure(tuple(nu.points[i] for i in rng.permutation(6)))
+        mu_perm = DiscreteMeasure([mu.values[i] for i in rng.permutation(6)])
+        nu_perm = DiscreteMeasure([nu.values[i] for i in rng.permutation(6)])
         shuffled, _ = w2_uniform(mu_perm, nu_perm, 1.1)
         assert shuffled == pytest.approx(base, rel=1e-12, abs=1e-12)
 
@@ -411,8 +414,6 @@ def test_w2_matches_monotone_matching_at_m_max(h):
 def test_measure_validation():
     with pytest.raises(DomainError):
         DiscreteMeasure(())
-    with pytest.raises(DomainError):
-        DiscreteMeasure((BoundaryState([0.0]), BoundaryState([0.0, 1.0])))
 
 
 def test_measure_from_array_validation():
@@ -437,12 +438,21 @@ def test_measure_values_and_points_round_trip():
     assert (mu.m, mu.n, mu.d) == (5, 3, 2)
     arr[0, 0, 0] = 99.0  # the measure holds its own read-only copy
     assert mu.values[0, 0, 0] != 99.0 and not mu.values.flags.writeable
-    points = mu.points
-    assert all(isinstance(p, BoundaryState) for p in points)
-    np.testing.assert_array_equal(np.stack([p.values for p in points]), mu.values)
-    np.testing.assert_array_equal(DiscreteMeasure(points).values, mu.values)
+    # the point stacks values[k] stack back into the same measure
+    assert DiscreteMeasure(list(mu.values)) == mu
+    assert DiscreteMeasure(arr) == DiscreteMeasure.from_array(arr)
     promoted = DiscreteMeasure.from_array(arr[:, :, 0])
     assert promoted.values.shape == (5, 3, 1)
+
+
+def test_measure_replace_revalidates():
+    mu = DiscreteMeasure(np.zeros((2, 3, 1)))
+    moved = dataclasses.replace(mu, values=np.ones((4, 3)))
+    assert moved == DiscreteMeasure(np.ones((4, 3, 1))) and not moved.values.flags.writeable
+    with pytest.raises(DomainError, match="finite"):
+        dataclasses.replace(mu, values=[[[np.nan]]])
+    with pytest.raises(DomainError, match="at least one point"):
+        dataclasses.replace(mu, values=np.zeros((0, 3, 1)))
 
 
 # ------------------------------------------------------------- properties
