@@ -25,6 +25,7 @@ import numpy as np
 
 from . import matrices as mats
 from .cost import (
+    DEFAULT_ROUTE,
     FREE_FLIGHT_TOL,
     cost,
     eval_trajectory,
@@ -283,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cost = sub.add_parser("cost", help="evaluate the cost of a problem JSON")
     p_cost.add_argument("--input", default="-", help="problem JSON path, or - for stdin")
-    p_cost.add_argument("--route", choices=sorted(_ROUTE_FLAGS), default="alg51")
+    default_flag = next(f for f, route in _ROUTE_FLAGS.items() if route == DEFAULT_ROUTE)
+    p_cost.add_argument("--route", choices=sorted(_ROUTE_FLAGS), default=default_flag)
     p_cost.add_argument(
         "--tol", type=float, default=FREE_FLIGHT_TOL, help="free-flight tolerance"
     )

@@ -15,9 +15,12 @@ evaluation routes are the one table ``_ROUTE_TOTALS``, keyed by ``ROUTES``:
   Better conditioned when h is far from 1.  At h = 1 this reproduces the
   default route bit for bit.
 
-Every route refuses a gap b that overflowed double precision.  The
-optimal trajectory is sampled in two-point Hermite form from its
-endpoint stacks, never from its monomial coefficients.
+``DEFAULT_ROUTE`` is the one choice of route: ``cost()`` uses it when none
+is named, and the ground cost of ``transport`` evaluates its entry on
+stacks of gaps.  Every route refuses a gap b that overflowed double
+precision, and so does the ground cost.  The optimal trajectory is
+sampled in two-point Hermite form from its endpoint stacks, never from
+its monomial coefficients.
 """
 
 from __future__ import annotations
@@ -115,19 +118,25 @@ def _kform_total(n: int, h: float, b: np.ndarray) -> float:
         raise DomainError("exact cost is beyond double precision") from None
 
 
-def _scaled_total(n: int, h: float, b: np.ndarray) -> float:
+def _scaled_totals(n: int, h: float, B: np.ndarray) -> np.ndarray:
     p = _powers(h, 1 - 2 * n, n - 1)  # h**(1-2n), ..., h**(n-1)
     row_scale = np.array(p[2 * n - 1 :])[:, None]
-    return float(p[0] * form_totals(form_matrix(n, 1.0), b * row_scale))
+    return p[0] * form_totals(form_matrix(n, 1.0), B * row_scale)
 
 
-#: The routes, one table: each maps (n, h, b) to its total of the cost form.
+#: The routes, one table: each maps (n, h, B) to the raw totals of the cost
+#: form.  The float routes take a (..., n, d) stack of gaps B and return the
+#: totals over its leading shape, each bit for bit the total of its gap
+#: alone; ``kform`` takes one (n, d) gap and returns a float.
 _ROUTE_TOTALS = {
-    "algorithm51": lambda n, h, b: float(form_totals(form_matrix(n, h), b)),
+    "algorithm51": lambda n, h, B: form_totals(form_matrix(n, h), B),
     "kform": _kform_total,
-    "scaled": _scaled_total,
+    "scaled": _scaled_totals,
 }
 ROUTES = tuple(_ROUTE_TOTALS)
+
+#: The one default route: of ``cost()``, the ground cost and the CLI.
+DEFAULT_ROUTE = "algorithm51"
 
 
 def _check_gap(b: np.ndarray) -> None:
@@ -135,7 +144,7 @@ def _check_gap(b: np.ndarray) -> None:
         raise DomainError("gap vector b is beyond double precision")
 
 
-def cost(problem: CostProblem, route: str = "algorithm51") -> CostBreakdown:
+def cost(problem: CostProblem, route: str = DEFAULT_ROUTE) -> CostBreakdown:
     """Minimum integrated squared n-th derivative between the two endpoints.
 
     Deterministic for fixed inputs; all routes share the same gap vector b.
@@ -155,7 +164,7 @@ def cost(problem: CostProblem, route: str = "algorithm51") -> CostBreakdown:
         if route not in ROUTES:  # a tuple test, so an unhashable route is refused too
             _check_gap(b)
             raise DomainError(f"unknown cost route {route!r}, expected one of {ROUTES}")
-        total = _ROUTE_TOTALS[route](n, h, b)
+        total = float(_ROUTE_TOTALS[route](n, h, b))
     if 0.0 <= total < math.inf:
         return CostBreakdown(total, route, b)
     _check_gap(b)

@@ -139,13 +139,14 @@ def _t_entry(n, i, j):
         return 1, j - i, math.factorial(j - i)
 
 
-@lru_cache(maxsize=_HORIZON_CACHE_SIZE)
+@lru_cache(maxsize=_HORIZON_CACHE_SIZE, typed=True)
 def _propagation_table(n: int, h: float) -> np.ndarray:
     """The free-flight propagator T(h) = V(h) V(0)^-1, read-only.
 
     Stored transposed as a (j, k, 1) array, the layout ``taylor_propagate``
     multiplies by.  Checked on a miss only: an invalid (n, h) raises and is
-    never cached.
+    never cached.  Keys are typed, so a horizon True misses the entry of
+    1.0 and is refused.
     """
     T = np.ascontiguousarray(_tabulate(_t_entry, n, h).T)[:, :, None]
     T.setflags(write=False)

@@ -7,8 +7,9 @@ shortest augmenting paths with a Jonker-Volgenant warm start (O(m^3) in
 the worst case).
 
 A measure is one (m, n, d) array.  The ground cost takes its gaps from
-those arrays a few rows at a time and evaluates them with the same form
-kernel as ``cost()``.  Each scan step of the assignment search is four
+those arrays a few rows at a time and evaluates them with the entry of
+``cost.DEFAULT_ROUTE`` in ``cost``'s route table, under ``cost()``'s
+refusals.  Each scan step of the assignment search is four
 numpy calls over one row; the predecessors along the augmenting path are
 recovered once its end is found, not tracked at every step.
 
@@ -21,14 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cost import finalize_totals, form_totals
-from .matrices import form_matrix, taylor_propagate
+from .cost import _ROUTE_TOTALS, DEFAULT_ROUTE, _check_gap, finalize_totals
+from .matrices import taylor_propagate
 from .types import DiscreteMeasure, DomainError
 
 #: Largest supported measure size for the assignment solver.
 M_MAX = 1024
 
-#: Rows of the ground cost filled per form-kernel call: large enough to
+#: Rows of the ground cost filled per route-kernel call: large enough to
 #: spread the per-call overhead, small enough to keep the gap block in cache.
 _ROW_BLOCK = 8
 
@@ -48,23 +49,34 @@ def ground_cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, h: float) -> np
     """Pairwise trajectory costs: entry (i, j) moves mu point i to nu point j.
 
     Entries reproduce ``cost(make_problem(h, mu_i, nu_j)).total`` bit for
-    bit: they go through the same form kernel and finalize rule as
-    ``cost()``.  All starts are propagated in one call, and the matrix is
-    filled a block of ``_ROW_BLOCK`` rows at a time (the gaps of those mu
-    points to every nu point), so no (m, m, n, d) temporary is built.
+    bit: they go through the entry of ``DEFAULT_ROUTE`` in ``cost``'s route
+    table and the same finalize rule as ``cost()``.  All starts are
+    propagated in one call, and the matrix is filled a block of
+    ``_ROW_BLOCK`` rows at a time (the gaps of those mu points to every nu
+    point), so no (m, m, n, d) temporary is built.
+
+    A gap beyond double precision is refused with ``cost()``'s message for
+    it; otherwise ``finalize_totals`` refuses the entries as ``cost()``
+    refuses a total.
     """
     _check_pair(mu, nu)
-    n = mu.n
+    n, totals = mu.n, _ROUTE_TOTALS[DEFAULT_ROUTE]
     out = np.empty((mu.m, nu.m))
     # an overflow shows as a non-finite entry, which finalize_totals refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        form = form_matrix(n, h)
         propagated = taylor_propagate(mu.values, h)
         ends = nu.values
         for lo in range(0, mu.m, _ROW_BLOCK):
             block = slice(lo, lo + _ROW_BLOCK)
-            out[block] = form_totals(form, ends - propagated[block, None])
-    return finalize_totals(out)
+            out[block] = totals(n, h, ends - propagated[block, None])
+        try:
+            return finalize_totals(out)
+        except DomainError:
+            # Rounding is monotonic, so some gap ends - propagated is
+            # non-finite exactly when one of these two extremes is.
+            _check_gap(ends.max(0) - propagated.min(0))
+            _check_gap(ends.min(0) - propagated.max(0))
+            raise
 
 
 def solve_assignment(costs: np.ndarray) -> np.ndarray:

@@ -42,7 +42,12 @@ def _check_order(n: int) -> int:
     return int(n)
 
 
+_BOOL_TYPES = (bool, np.bool_)
+
+
 def _check_horizon(h: float, allow_zero: bool = False) -> float:
+    if isinstance(h, _BOOL_TYPES):
+        raise DomainError(f"horizon must be a number, got {h!r}")
     h = float(h)
     if not math.isfinite(h) or h < 0.0 or (h == 0.0 and not allow_zero):
         kind = "nonnegative" if allow_zero else "positive"
@@ -68,8 +73,18 @@ def _value_eq(self, other) -> bool:
     return True
 
 
+def _float_copy(values) -> np.ndarray:
+    """A fresh float array of ``values``; a ragged nesting raises DomainError."""
+    try:
+        return np.array(values, dtype=float, copy=True)
+    except ValueError as exc:
+        if "inhomogeneous" not in str(exc):  # numpy's word for a ragged nesting
+            raise
+        raise DomainError("boundary values must be a rectangular array, not ragged") from None
+
+
 def _as_state_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=True)
+    arr = _float_copy(values)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -240,7 +255,7 @@ class DiscreteMeasure:
     __eq__ = _value_eq
 
     def __init__(self, values):
-        a = np.array(values, dtype=float, copy=True)
+        a = _float_copy(values)
         if a.ndim == 2:
             a = a[:, :, None]
         if a.ndim != 3:

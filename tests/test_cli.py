@@ -488,7 +488,7 @@ def test_matrices_overflow_names_the_matrix(args, name, capsys):
     "args, module, totals",
     [
         (["cost"], "msdcost.cost", lambda M, G: np.float64(-1.0)),
-        (["transport"], "msdcost.transport", lambda M, G: np.full(G.shape[:-2], -1.0)),
+        (["transport"], "msdcost.cost", lambda M, G: np.full(G.shape[:-2], -1.0)),
     ],
     ids=["cost", "transport"],
 )

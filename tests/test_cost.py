@@ -31,7 +31,9 @@ from msdcost import (
     taylor_propagate,
 )
 from msdcost.cost import (
+    _ROUTE_TOTALS,
     NEGATIVE_CLAMP,
+    ROUTES,
     _hermite_table,
     _legendre_rows,
     _sampler,
@@ -731,6 +733,22 @@ def test_scaled_route_matches_the_power_table_formula_bytewise():
                 p = make_problem(h, rng.standard_normal((n, d)), rng.standard_normal((n, d)))
                 want = pinned_outcome(lambda: scaled_total_from_power_table(p))
                 assert pinned_outcome(lambda: cost(p, route="scaled").total) == want, (n, h, d)
+
+
+@pytest.mark.parametrize("route", [r for r in ROUTES if r != "kform"])
+def test_float_route_totals_of_a_gap_stack_match_each_gap_bitwise(route):
+    # the ground cost evaluates a stack of gaps through the same table entry
+    totals = _ROUTE_TOTALS[route]
+    rng = np.random.default_rng(74)
+    for n in range(1, N_MAX + 1):
+        for h in (1e-2, 0.37, 1.0, 100.0):
+            for d in (1, 3):
+                stack = rng.standard_normal((4, 5, n, d))
+                got = totals(n, h, stack)
+                assert got.shape == (4, 5)
+                for idx in np.ndindex(4, 5):
+                    alone = np.float64(totals(n, h, stack[idx]))
+                    assert got[idx].tobytes() == alone.tobytes(), (n, h, d, idx)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,38 @@ def test_ground_cost_matches_cost_bitwise_across_row_blocks(m, d):
             for j in range(m):
                 direct = cost(make_problem(h, mu.values[i], nu.values[j])).total
                 assert costs[i, j] == direct, (n, i, j)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([[1e308], [1e308]], [[0.0], [0.0]]),  # propagating the start overflows
+        ([[-1.5e308]], [[1.5e308]]),  # the subtraction overflows
+    ],
+)
+def test_ground_cost_refuses_an_overflowed_gap_as_cost_does(x, y):
+    with pytest.raises(DomainError, match="^gap vector b is beyond double precision$"):
+        cost(make_problem(1.0, x, y))
+    ok = np.zeros((1,) + np.shape(x))
+    mu = DiscreteMeasure(np.concatenate([ok, [x]]))
+    nu = DiscreteMeasure(np.concatenate([[y], ok]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (ground_cost_matrix, w2_uniform):
+            with pytest.raises(DomainError, match="^gap vector b is beyond double precision$"):
+                run(mu, nu, 1.0)
+
+
+def test_ground_cost_keeps_the_total_refusal_for_a_finite_gap():
+    # the gap is finite and the form overflows: finalize_totals' message, as in cost()
+    x, y = np.zeros((12, 1)), np.zeros((12, 1))
+    y[0, 0] = 1.0
+    with pytest.raises(DomainError) as expected:
+        cost(make_problem(1e-13, x, y))
+    with pytest.raises(DomainError) as got:
+        ground_cost_matrix(DiscreteMeasure([x]), DiscreteMeasure([y]), 1e-13)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value) == "cost evaluated to nan, outside double precision"
 
 
 def test_ground_cost_shape_errors():

@@ -17,6 +17,7 @@ from msdcost import (
     BoundaryState,
     CostBreakdown,
     CostProblem,
+    DiscreteMeasure,
     DomainError,
     TrajectoryPolynomial,
     eval_trajectory,
@@ -193,3 +194,33 @@ def test_trajectory_polynomial_by_keyword_position_and_solver():
         TrajectoryPolynomial(2, 0.7, 2, poly.coeffs, start=poly.start)
     with pytest.raises(DomainError, match=r"end array must have shape \(2, 2\)"):
         TrajectoryPolynomial(2, 0.7, 2, poly.coeffs, poly.start, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("h", [True, np.True_], ids=["True", "np.True_"])
+def test_a_boolean_horizon_is_refused(h):
+    from msdcost.matrices import build_A, taylor_propagate
+
+    x = np.arange(2.0)
+    taylor_propagate(x, 1.0)  # a cached h = 1.0 entry must not answer for True
+    refusals = (
+        lambda: make_problem(h, [0.0], [1.0]),
+        lambda: build_A(2, h),
+        lambda: taylor_propagate(x, h),
+    )
+    for build in refusals:
+        with pytest.raises(DomainError, match=f"^horizon must be a number, got {h!r}$"):
+            build()
+
+
+@pytest.mark.parametrize(
+    "build, values",
+    [
+        (BoundaryState, [[0.0], [0.0, 1.0]]),
+        (lambda v: make_problem(1.0, v, [[0.0], [1.0]]), [[0.0], [0.0, 1.0]]),
+        (DiscreteMeasure, [[[0.0]], [[0.0], [1.0]]]),
+    ],
+    ids=["BoundaryState", "make_problem", "DiscreteMeasure"],
+)
+def test_a_ragged_nesting_is_refused(build, values):
+    with pytest.raises(DomainError, match="^boundary values must be a rectangular array"):
+        build(values)
