@@ -33,7 +33,7 @@ from .matrices import (
     h_power_table,
     taylor_propagate,
 )
-from .oracle import elimination_det, gauss_legendre, pivoted_solve, quadrature_cost
+from .oracle import elimination_det, gauss_legendre, quadrature_cost
 from .transport import ground_cost_matrix, solve_assignment, w2_uniform
 from .types import (
     BoundaryState,
@@ -42,7 +42,6 @@ from .types import (
     CostProblem,
     DiscreteMeasure,
     DomainError,
-    SingularMatrixError,
     TrajectoryPolynomial,
     make_problem,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "DomainError",
     "N_MAX",
     "ROUTES",
-    "SingularMatrixError",
     "TrajectoryPolynomial",
     "build_A",
     "build_A_inv",
@@ -81,7 +79,6 @@ __all__ = [
     "hessian",
     "is_free_flight",
     "make_problem",
-    "pivoted_solve",
     "quadrature_cost",
     "reduce_order",
     "solve_assignment",

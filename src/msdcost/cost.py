@@ -39,6 +39,7 @@ from .types import (
     DomainError,
     TrajectoryPolynomial,
     _check_order,
+    _float_copy,
     _trusted,
 )
 
@@ -271,7 +272,7 @@ def eval_trajectory(poly: TrajectoryPolynomial, k: int, t) -> np.ndarray:
         raise DomainError(f"derivative order must be an integer, got k={k!r}")
     if k < 0:
         raise DomainError(f"derivative order must be nonnegative, got k={k}")
-    times = np.asarray(t, dtype=float)
+    times = _float_copy(t, "times")
     shape = times.shape + (poly.d,)
     if k >= 2 * poly.n:
         return np.zeros(shape)
@@ -323,8 +324,8 @@ def gap_is_free_flight(
     problem: CostProblem, b: np.ndarray, tol: float = FREE_FLIGHT_TOL
 ) -> bool:
     """``is_free_flight`` on the problem's gap b, already computed by ``cost``."""
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if isinstance(tol, (bool, np.bool_)) or not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     scale = float(
         max(np.abs(problem.start.values).max(), np.abs(problem.end.values).max())
     )

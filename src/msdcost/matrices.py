@@ -47,7 +47,7 @@ from operator import mul
 import numpy as np
 
 from .types import N_MAX  # re-exported
-from .types import CostProblem, DomainError, _check_horizon, _check_order
+from .types import CostProblem, DomainError, _check_horizon, _check_order, _float_copy
 
 #: Entries kept by each per-(n, h) cache (the form matrix and the
 #: propagation table): under 1 MB in all at n = N_MAX.
@@ -170,6 +170,8 @@ def taylor_propagate(values: np.ndarray, h: float) -> np.ndarray:
     structural zeros, j < k, add only signed zeros).  The result is C
     order: a strided stack would change the bits of a later matmul.
     """
+    if not isinstance(values, np.ndarray):  # arrays, the hot path, skip the copy
+        values = _float_copy(values, "derivative stack")
     values = np.asarray(values, dtype=float)
     stack = values[:, None] if values.ndim == 1 else values
     terms = _propagation_table(stack.shape[-2], h) * stack[..., :, None, :]

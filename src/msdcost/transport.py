@@ -24,7 +24,7 @@ import numpy as np
 
 from .cost import _ROUTE_TOTALS, DEFAULT_ROUTE, _check_gap, finalize_totals
 from .matrices import taylor_propagate
-from .types import DiscreteMeasure, DomainError
+from .types import DiscreteMeasure, DomainError, _float_copy
 
 #: Largest supported measure size for the assignment solver.
 M_MAX = 1024
@@ -96,7 +96,7 @@ def solve_assignment(costs: np.ndarray) -> np.ndarray:
     every reduced cost and potential: NaN, +-inf, or a spread that
     overflows double precision raises DomainError.
     """
-    c = np.asarray(costs, dtype=float)
+    c = _float_copy(costs, "cost matrix")
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DomainError(f"cost matrix must be square, got shape {c.shape}")
     if not np.isfinite(c).all():

@@ -11,6 +11,7 @@ shapes once, when built; entry points taking a raw n or h reuse the checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -18,10 +19,6 @@ import numpy as np
 
 class DomainError(ValueError):
     """Input outside the supported domain (order, horizon, shapes, sizes)."""
-
-
-class SingularMatrixError(DomainError):
-    """Pivot fell below the singularity threshold during elimination."""
 
 
 class ConsistencyError(ArithmeticError):
@@ -42,13 +39,14 @@ def _check_order(n: int) -> int:
     return int(n)
 
 
-_BOOL_TYPES = (bool, np.bool_)
-
-
 def _check_horizon(h: float, allow_zero: bool = False) -> float:
-    if isinstance(h, _BOOL_TYPES):
-        raise DomainError(f"horizon must be a number, got {h!r}")
-    h = float(h)
+    if type(h) is not float:  # a plain float skips the ABC lookup
+        if isinstance(h, bool) or not isinstance(h, numbers.Real):
+            raise DomainError(f"horizon must be a number, got {h!r}")
+        try:
+            h = float(h)
+        except OverflowError:  # an integer beyond double range
+            h = math.inf if h > 0 else -math.inf
     if not math.isfinite(h) or h < 0.0 or (h == 0.0 and not allow_zero):
         kind = "nonnegative" if allow_zero else "positive"
         raise DomainError(f"horizon must be {kind} and finite, got h={h}")
@@ -73,14 +71,14 @@ def _value_eq(self, other) -> bool:
     return True
 
 
-def _float_copy(values) -> np.ndarray:
+def _float_copy(values, what: str = "boundary values") -> np.ndarray:
     """A fresh float array of ``values``; a ragged nesting raises DomainError."""
     try:
         return np.array(values, dtype=float, copy=True)
     except ValueError as exc:
         if "inhomogeneous" not in str(exc):  # numpy's word for a ragged nesting
             raise
-        raise DomainError("boundary values must be a rectangular array, not ragged") from None
+        raise DomainError(f"{what} must be a rectangular array, not ragged") from None
 
 
 def _as_state_array(values) -> np.ndarray:
@@ -171,7 +169,7 @@ def make_problem(h: float, x, y) -> CostProblem:
 
 
 def _frozen_stack(name: str, values, shape: tuple) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=True)
+    arr = _float_copy(values, f"{name} values")
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.shape != shape:

@@ -85,7 +85,7 @@ def test_cost_tol_sets_the_free_flight_tolerance(monkeypatch, capsys):
         assert json.loads(out)["free_flight"] is free
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e400"])
 def test_cost_tol_must_be_positive(tol, monkeypatch, capsys):
     code, out, err = run_cli(["cost", "--tol", tol], NEAR_FREE_FLIGHT, monkeypatch, capsys)
     assert code == 3

@@ -518,6 +518,13 @@ def test_is_free_flight():
         is_free_flight(rest_problem(2), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [True, np.True_, math.inf], ids=["True", "np.True_", "inf"])
+def test_is_free_flight_refuses_a_boolean_or_infinite_tolerance(tol):
+    far = make_problem(1.0, [0.0], [5.0])
+    with pytest.raises(DomainError, match="^tolerance must be positive"):
+        is_free_flight(far, tol=tol)
+
+
 def test_free_flight_order_mismatch():
     with pytest.raises(DomainError):
         free_flight_target(3, 1.0, BoundaryState([0.0, 1.0]))

@@ -3,7 +3,6 @@ import pytest
 
 from msdcost import (
     DomainError,
-    SingularMatrixError,
     TrajectoryPolynomial,
     build_A,
     build_A_inv,
@@ -11,13 +10,75 @@ from msdcost import (
     det_A,
     elimination_det,
     gauss_legendre,
-    pivoted_solve,
     quadrature_cost,
     solve_trajectory,
 )
 
 
 # ---------------------------------------------------------- pivoted solve
+
+
+class SingularMatrixError(DomainError):
+    """Pivot fell below the singularity threshold during elimination."""
+
+
+#: A pivot below this fraction of its row's max-norm flags singularity.
+#: The ratio is scale-invariant: the boundary matrices are strongly graded
+#: (rows spanning 14 orders of magnitude are legitimate), so thresholding
+#: against the global matrix norm would misclassify them.
+PIVOT_THRESHOLD = 1e-13
+
+
+def pivoted_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a x = rhs by Gaussian elimination with scaled partial pivoting.
+
+    The package's elimination solve before the closed-form inverse made it
+    test-only, kept unchanged as the float reference ``build_A_inv`` is
+    checked against.  ``rhs`` may be a vector or an (n, d) block of
+    right-hand sides; the result has the same shape.  Pivot rows are
+    chosen by largest entry relative to the row's max-norm.  Raises
+    SingularMatrixError when a pivot falls below PIVOT_THRESHOLD relative
+    to its row scale.
+    """
+    a = np.array(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError(f"matrix must be square, got shape {a.shape}")
+    vector_rhs = np.ndim(rhs) == 1
+    b = np.array(rhs, dtype=float)
+    if vector_rhs:
+        b = b[:, None]
+    if b.shape[0] != a.shape[0]:
+        raise DomainError(
+            f"right-hand side has {b.shape[0]} rows, matrix has {a.shape[0]}"
+        )
+    n = a.shape[0]
+    scale = np.abs(a).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    ratio = np.inf
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k]) / scale[k:]))
+        if p != k:
+            a[[k, p]] = a[[p, k]]
+            scale[[k, p]] = scale[[p, k]]
+            b[[k, p]] = b[[p, k]]
+        piv = a[k, k]
+        ratio = min(ratio, abs(piv) / scale[k])
+        if piv == 0.0:
+            ratio = 0.0
+            break
+        for r in range(k + 1, n):
+            f = a[r, k] / piv
+            if f != 0.0:
+                a[r, k:] -= f * a[k, k:]
+                b[r] -= f * b[k]
+    if ratio <= PIVOT_THRESHOLD:
+        raise SingularMatrixError(
+            f"scaled pivot {ratio:.3e} below threshold {PIVOT_THRESHOLD:.0e}"
+        )
+    x = np.zeros_like(b)
+    for k in range(n - 1, -1, -1):
+        x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
+    return x[:, 0] if vector_rhs else x
 
 
 def test_pivoted_solve_examples():

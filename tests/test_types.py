@@ -9,6 +9,7 @@ refuses.
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,9 +21,16 @@ from msdcost import (
     DiscreteMeasure,
     DomainError,
     TrajectoryPolynomial,
+    build_A,
+    det_A,
+    elimination_det,
     eval_trajectory,
+    ground_cost_matrix,
+    hessian,
     make_problem,
+    solve_assignment,
     solve_trajectory,
+    taylor_propagate,
 )
 
 
@@ -196,7 +204,9 @@ def test_trajectory_polynomial_by_keyword_position_and_solver():
         TrajectoryPolynomial(2, 0.7, 2, poly.coeffs, poly.start, np.zeros((3, 2)))
 
 
-@pytest.mark.parametrize("h", [True, np.True_], ids=["True", "np.True_"])
+@pytest.mark.parametrize(
+    "h", [True, np.True_, "1", b"1", None], ids=["True", "np.True_", "str", "bytes", "None"]
+)
 def test_a_boolean_horizon_is_refused(h):
     from msdcost.matrices import build_A, taylor_propagate
 
@@ -224,3 +234,40 @@ def test_a_boolean_horizon_is_refused(h):
 def test_a_ragged_nesting_is_refused(build, values):
     with pytest.raises(DomainError, match="^boundary values must be a rectangular array"):
         build(values)
+
+
+RAGGED = [[0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda: TrajectoryPolynomial(1, 1.0, 1, RAGGED), "coefficient values"),
+        (lambda: TrajectoryPolynomial(1, 1.0, 1, [[0.0], [1.0]], RAGGED, [0.0]), "start values"),
+        (lambda: TrajectoryPolynomial(1, 1.0, 1, [[0.0], [1.0]], [0.0], RAGGED), "end values"),
+        (lambda: solve_assignment([[1.0], [1.0, 2.0]]), "cost matrix"),
+        (lambda: elimination_det([[1.0], [1.0, 2.0]]), "matrix"),
+        (lambda: taylor_propagate(RAGGED, 1.0), "derivative stack"),
+        (lambda: eval_trajectory(solve_trajectory(make_problem(1.0, [0.0], [1.0])), 0, RAGGED),
+         "times"),
+    ],
+    ids=["coeffs", "start", "end", "solve_assignment", "elimination_det",
+         "taylor_propagate", "eval_trajectory"],
+)
+def test_a_ragged_array_is_refused_by_every_intake(build, what):
+    with pytest.raises(DomainError, match=f"^{what} must be a rectangular array, not ragged$"):
+        build()
+
+
+def test_a_horizon_is_any_real_number_but_a_bool():
+    mu = DiscreteMeasure([[[0.0], [1.0]], [[1.0], [0.0]]])
+    for h in ("1", None):
+        for build in (lambda: det_A(2, h), lambda: hessian(2, h),
+                      lambda: ground_cost_matrix(mu, mu, h)):
+            with pytest.raises(DomainError, match=f"^horizon must be a number, got {h!r}$"):
+                build()
+    for h in (2, np.int64(2), np.float32(2.0), Fraction(2)):
+        assert make_problem(h, [0.0], [1.0]).h == 2.0
+        np.testing.assert_array_equal(build_A(3, h), build_A(3, 2.0))
+    with pytest.raises(DomainError, match="^horizon must be positive and finite, got h=inf$"):
+        make_problem(10**400, [0.0], [1.0])
